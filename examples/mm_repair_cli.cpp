@@ -49,8 +49,8 @@ int Usage() {
       "or a sharded store manifest; --save-snapshot with --shards > 1 "
       "writes a\n"
       "sharded store directory instead of a single snapshot file;\n"
-      "`info --resave` rewrites a snapshot file or store in place in the\n"
-      "current container version (staged-temp + atomic rename)\n",
+      "`info --resave` rewrites a snapshot file or store in the current\n"
+      "container version (each file replaced by an atomic rename)\n",
       stderr);
   return 2;
 }
@@ -100,13 +100,12 @@ void MaybeSaveSnapshot(const AnyMatrix& matrix, const CliParser& cli) {
               FormatBytes(matrix.CompressedBytes()).c_str(), path.c_str());
 }
 
-/// `info --resave`: rewrites `input` in place in the current container
-/// version. A store (directory, or a manifest file referencing sibling
-/// shards) migrates every shard plus the manifest through the
-/// failure-atomic MatrixStore pipeline; a single snapshot file is staged
-/// as `<input>.tmp` and renamed over the original, so a crash leaves the
-/// old file intact. Payloads are adopted as-is -- no RePair / rANS
-/// encoding re-runs.
+/// `info --resave`: rewrites `input` in the current container version. A
+/// store (directory, or a manifest file referencing sibling shards)
+/// migrates every shard plus the manifest through MatrixStore's
+/// manifest-commit pipeline; a single snapshot file is replaced by
+/// AnyMatrix::Save, so a crash leaves the old file or the new one.
+/// Payloads are adopted as-is -- no RePair / rANS encoding re-runs.
 void ResaveInput(const std::string& input) {
   namespace fs = std::filesystem;
   if (fs::is_directory(input)) {
@@ -129,18 +128,9 @@ void ResaveInput(const std::string& input) {
     return;
   }
   AnyMatrix matrix = AnyMatrix::LoadSnapshot(std::move(reader), input);
-  std::vector<u8> bytes = matrix.SaveSnapshotBytes();
-  std::string staged = input + ".tmp";
-  WriteFileBytes(staged, bytes);
-  std::error_code ec;
-  fs::rename(staged, input, ec);
-  if (ec) {
-    std::error_code ignore;
-    fs::remove(staged, ignore);
-    throw Error("cannot replace " + input + ": " + ec.message());
-  }
+  matrix.Save(input);
   std::printf("resaved %s (v%u -> v%u, %s)\n", input.c_str(), from_version,
-              kSnapshotVersion, FormatBytes(bytes.size()).c_str());
+              kSnapshotVersion, FormatBytes(fs::file_size(input)).c_str());
 }
 
 }  // namespace

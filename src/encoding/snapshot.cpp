@@ -1,6 +1,11 @@
 #include "encoding/snapshot.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 
@@ -56,11 +61,45 @@ std::vector<u8> ReadFileBytes(const std::string& path) {
 }
 
 void WriteFileBytes(const std::string& path, const std::vector<u8>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  GCM_CHECK_MSG(out.good(), "cannot create file: " << path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  GCM_CHECK_MSG(out.good(), "short write on file: " << path);
+  WriteFileBytes(path, [&bytes](std::ostream& out) {
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  });
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::function<void(std::ostream& out)>& fill) {
+  static std::atomic<u64> next_temp{0};
+  const std::string prefix =
+      path + ".tmp." + std::to_string(::getpid()) + ".";
+  std::string temp;
+  int fd = -1;
+  do {  // skips a name that a killed writer with our pid left behind
+    temp = prefix + std::to_string(next_temp++);
+    fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  } while (fd < 0 && errno == EEXIST);
+  GCM_CHECK_MSG(fd >= 0, "cannot create file: " << path);
+  try {
+    // The descriptor holds the file for the fsync; the stream writes it.
+    std::ofstream out(temp, std::ios::binary);
+    fill(out);
+    out.close();
+    GCM_CHECK_MSG(!out.fail(), "short write on file: " << path);
+    GCM_CHECK_MSG(::fsync(fd) == 0, "cannot sync file: " << path);
+    GCM_CHECK_MSG(::rename(temp.c_str(), path.c_str()) == 0,
+                  "cannot replace file: " << path);
+  } catch (...) {
+    ::close(fd);
+    ::unlink(temp.c_str());
+    throw;
+  }
+  ::close(fd);
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  int dir_fd = ::open(dir.empty() ? "." : dir.c_str(),
+                      O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  bool synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  GCM_CHECK_MSG(synced, "cannot sync the directory of " << path);
 }
 
 std::vector<u8> ReadFileHeader(const std::string& path) {
@@ -126,10 +165,6 @@ std::vector<u8> SnapshotWriter::Finish() const {
   out.Put<u32>(Crc32(body.buffer().data(), body.size()));
   out.PutBytes(body.buffer().data(), body.size());
   return out.TakeBuffer();
-}
-
-void SnapshotWriter::WriteFile(const std::string& path) const {
-  WriteFileBytes(path, Finish());
 }
 
 // ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -83,16 +85,26 @@ constexpr std::size_t kPayloadSectionAlignment = 64;
 u32 Crc32(const void* data, std::size_t size, u32 seed = 0);
 
 /// Whole-file helpers shared by the container formats (throw gcm::Error on
-/// open/short-read/short-write failures, naming the path).
+/// open/short-read failures, naming the path).
 std::vector<u8> ReadFileBytes(const std::string& path);
-void WriteFileBytes(const std::string& path, const std::vector<u8>& bytes);
 /// First min(16, file size) bytes of `path` -- magic sniffing without
 /// reading (or mapping) the rest of a multi-GB file.
 std::vector<u8> ReadFileHeader(const std::string& path);
 
+/// The one way to write a file: the contents go to a temp sibling created
+/// O_EXCL (unique per process and call, mode 0666 minus umask), which is
+/// fsynced and renamed over `path`; then the directory is fsynced. Readers
+/// see the old file or the new one, and a mapping of the old file keeps
+/// its bytes. Failures throw gcm::Error naming `path` and remove the temp
+/// file; `path` is already replaced only if the directory fsync failed.
+void WriteFileBytes(const std::string& path, const std::vector<u8>& bytes);
+/// Streaming form: `fill` writes the contents into `out`.
+void WriteFileBytes(const std::string& path,
+                    const std::function<void(std::ostream& out)>& fill);
+
 /// Assembles a snapshot: declare sections in order, fill each through the
-/// returned ByteWriter, then Finish() (or WriteFile) to emit the container.
-/// Always emits the current (v2) format.
+/// returned ByteWriter, then Finish() to emit the container (WriteFileBytes
+/// stores it). Always emits the current (v2) format.
 class SnapshotWriter {
  public:
   explicit SnapshotWriter(std::string spec);
@@ -107,7 +119,6 @@ class SnapshotWriter {
 
   /// Emits the assembled container (header + sections + checksum).
   std::vector<u8> Finish() const;
-  void WriteFile(const std::string& path) const;
 
  private:
   struct PendingSection {

@@ -178,22 +178,21 @@ MatrixMarketData LoadMatrixMarket(const std::string& path) {
 }
 
 void SaveMatrixMarket(const DenseMatrix& matrix, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  GCM_CHECK_MSG(out.good(), "cannot create file: " << path);
-  // max_digits10 keeps the text round-trip value-preserving (the default
-  // 6 significant digits would silently perturb continuous-valued data).
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  out << kMatrixMarketBanner << " matrix coordinate real general\n";
-  out << matrix.rows() << ' ' << matrix.cols() << ' '
-      << matrix.CountNonZeros() << '\n';
-  for (std::size_t r = 0; r < matrix.rows(); ++r) {
-    for (std::size_t c = 0; c < matrix.cols(); ++c) {
-      double v = matrix.At(r, c);
-      if (v == 0.0) continue;
-      out << (r + 1) << ' ' << (c + 1) << ' ' << v << '\n';
+  WriteFileBytes(path, [&matrix](std::ostream& out) {
+    // max_digits10 keeps the text round-trip value-preserving (the default
+    // 6 significant digits would silently perturb continuous-valued data).
+    out << std::setprecision(std::numeric_limits<double>::max_digits10);
+    out << kMatrixMarketBanner << " matrix coordinate real general\n";
+    out << matrix.rows() << ' ' << matrix.cols() << ' '
+        << matrix.CountNonZeros() << '\n';
+    for (std::size_t r = 0; r < matrix.rows(); ++r) {
+      for (std::size_t c = 0; c < matrix.cols(); ++c) {
+        double v = matrix.At(r, c);
+        if (v == 0.0) continue;
+        out << (r + 1) << ' ' << (c + 1) << ' ' << v << '\n';
+      }
     }
-  }
-  GCM_CHECK_MSG(out.good(), "short write on file: " << path);
+  });
 }
 
 DenseMatrix LoadDenseText(const std::string& path) {
@@ -215,16 +214,15 @@ DenseMatrix LoadDenseText(const std::string& path) {
 }
 
 void SaveDenseText(const DenseMatrix& matrix, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  GCM_CHECK_MSG(out.good(), "cannot create file: " << path);
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  out << matrix.rows() << " " << matrix.cols() << "\n";
-  for (std::size_t r = 0; r < matrix.rows(); ++r) {
-    for (std::size_t c = 0; c < matrix.cols(); ++c) {
-      out << matrix.At(r, c) << (c + 1 == matrix.cols() ? '\n' : ' ');
+  WriteFileBytes(path, [&matrix](std::ostream& out) {
+    out << std::setprecision(std::numeric_limits<double>::max_digits10);
+    out << matrix.rows() << " " << matrix.cols() << "\n";
+    for (std::size_t r = 0; r < matrix.rows(); ++r) {
+      for (std::size_t c = 0; c < matrix.cols(); ++c) {
+        out << matrix.At(r, c) << (c + 1 == matrix.cols() ? '\n' : ' ');
+      }
     }
-  }
-  GCM_CHECK_MSG(out.good(), "short write on file: " << path);
+  });
 }
 
 }  // namespace gcm

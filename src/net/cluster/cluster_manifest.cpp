@@ -127,7 +127,7 @@ void ClusterManifest::Save(const std::string& path) const {
   meta.PutVarint(cols);
   meta.Put<u64>(0);  // compressed bytes live on the workers
   SerializeInto(&writer.BeginSection(kClusterManifestSection));
-  writer.WriteFile(path);
+  WriteFileBytes(path, writer.Finish());
 }
 
 ClusterManifest ClusterManifest::Load(const std::string& path) {

@@ -1,8 +1,11 @@
 #include "serving/matrix_store.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <optional>
+#include <regex>
 #include <stdexcept>
 #include <utility>
 
@@ -16,121 +19,102 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Staging / backup suffixes of the two-phase store write. A failed
-/// Partition leaves at worst *.tmp / *.old litter that Open never reads
-/// (and the normal paths clean up even that).
-constexpr const char* kStagingSuffix = ".tmp";
-constexpr const char* kBackupSuffix = ".old";
+/// Shard file `index` of store generation `generation`.
+std::string ShardFileName(u64 generation, std::size_t index) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "shard_g%llu_%05zu.gcsnap",
+                static_cast<unsigned long long>(generation), index);
+  return name;
+}
 
-/// Shared producer pipeline: `build_shard(begin, end)` returns the built
-/// shard for rows [begin, end).
-///
-/// Phase 1 builds, serializes and *stages* each shard (a `.tmp` sibling of
-/// its final name) -- concurrently on the BuildContext pool, each task
-/// holding only its own shard in memory and dropping it once written. The
-/// manifest entries land in per-shard slots, so the manifest and every
-/// shard file are byte-identical to the sequential layout regardless of
-/// the pool.
-///
-/// Phase 2 flips the staged files live in manifest order, manifest last.
-/// A file being overwritten is first set aside under a `.old` backup
-/// name; if any rename fails, the flipped files are removed and the
-/// backups restored -- so a failed Partition (an exception in either
-/// phase) leaves a pre-existing store byte-for-byte intact and never a
-/// directory Open would half-accept. A hard process kill is weaker: dying
-/// mid-flip of a REpartition can leave the old manifest next to
-/// already-replaced shard files (Open then fails their checksums, naming
-/// the shards) with the originals still recoverable from the `.old`
-/// backups; making that window atomic needs manifest-versioned shard
-/// file names (see ROADMAP).
+/// The generation of a shard-pattern file name (0 for shard_<i>.gcsnap),
+/// or nullopt. A killed writer's temp sibling counts as its target's.
+std::optional<u64> ShardFileGeneration(const std::string& name) {
+  static const std::regex kPattern(R"(shard_(?:g(\d{1,18})_)?\d+\.gcsnap.*)");
+  std::smatch match;
+  if (!std::regex_match(name, match, kPattern)) return std::nullopt;
+  return match[1].matched ? std::stoull(match[1].str()) : 0;
+}
+
+/// Row ranges of `per_shard` rows (the last one shorter) tiling [0, rows).
+std::vector<ShardManifestEntry> UniformLayout(std::size_t rows,
+                                              std::size_t per_shard) {
+  std::vector<ShardManifestEntry> layout;
+  for (std::size_t begin = 0; begin < rows; begin += per_shard) {
+    ShardManifestEntry& shard = layout.emplace_back();
+    shard.row_begin = begin;
+    shard.row_end = std::min(rows, begin + per_shard);
+  }
+  return layout;
+}
+
+/// Shared producer pipeline: `build_shard(layout[i])` returns the shard
+/// for that row range. Shards are built and written concurrently on the
+/// BuildContext pool, each task holding only its own shard, into per-shard
+/// manifest slots, so every file is byte-identical to the sequential
+/// output. They take a new generation's names, which no manifest in `dir`
+/// references; the manifest rename is the single commit point. A failure
+/// before it removes only this generation's files; after it, the shard
+/// files of other generations and a killed writer's manifest temp file go.
 ShardManifest WriteStore(
-    std::size_t rows, std::size_t cols, std::size_t per_shard,
-    const std::string& dir, const BuildContext& ctx,
-    const std::function<AnyMatrix(std::size_t, std::size_t)>& build_shard) {
-  std::size_t shard_count = (rows + per_shard - 1) / per_shard;
+    std::size_t rows, std::size_t cols,
+    const std::vector<ShardManifestEntry>& layout, const std::string& dir,
+    const BuildContext& ctx,
+    const std::function<AnyMatrix(const ShardManifestEntry&)>& build_shard) {
   std::error_code ec;
   bool created_dir = fs::create_directories(dir, ec);
   GCM_CHECK_MSG(!ec, "cannot create store directory " << dir << ": "
                                                       << ec.message());
-
-  ShardManifest manifest;
-  manifest.rows = rows;
-  manifest.cols = cols;
-  manifest.shards.resize(shard_count);
-  std::vector<std::string> files;  // final names, manifest last
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    files.push_back(ShardFileName(i));
+  u64 generation = 1;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (auto found = ShardFileGeneration(entry.path().filename().string())) {
+      generation = std::max(generation, *found + 1);
+    }
   }
-  files.emplace_back(kShardManifestFileName);
-  auto staging_path = [&](const std::string& file) {
-    return fs::path(dir) / (file + kStagingSuffix);
-  };
+  std::string manifest_path = (fs::path(dir) / kShardManifestFileName).string();
 
+  ShardManifest manifest{rows, cols, layout};
   try {
-    // Phase 1: build + stage, shard-parallel. Slots are disjoint and
-    // WriteFileBytes targets one distinct staging file per task.
-    MaybeParallelFor(ctx.pool, shard_count, [&](std::size_t i) {
-      std::size_t begin = i * per_shard;
-      AnyMatrix shard = build_shard(begin, std::min(rows, begin + per_shard));
+    MaybeParallelFor(ctx.pool, layout.size(), [&](std::size_t i) {
+      AnyMatrix shard = build_shard(layout[i]);
       std::vector<u8> bytes = shard.SaveSnapshotBytes();
       ShardManifestEntry& entry = manifest.shards[i];
-      entry.row_begin = begin;
-      entry.row_end = std::min(rows, begin + per_shard);
-      entry.file = ShardFileName(i);
+      entry.file = ShardFileName(generation, i);
       entry.spec = shard.FormatTag();
       entry.crc32 = Crc32(bytes.data(), bytes.size());
       entry.snapshot_bytes = bytes.size();
       entry.compressed_bytes = shard.CompressedBytes();
-      WriteFileBytes(staging_path(entry.file).string(), bytes);
+      WriteFileBytes((fs::path(dir) / entry.file).string(), bytes);
     });
-    manifest.Save(staging_path(kShardManifestFileName).string());
-
-    // Phase 2: flip staged files live, displacing overwritten originals
-    // to backups so a mid-flip failure can roll everything back.
-    std::vector<std::pair<fs::path, fs::path>> displaced;  // final, backup
-    std::vector<fs::path> flipped;
-    try {
-      for (const std::string& file : files) {
-        fs::path final_path = fs::path(dir) / file;
-        std::error_code probe;
-        if (fs::exists(final_path, probe)) {
-          fs::path backup = fs::path(dir) / (file + kBackupSuffix);
-          fs::rename(final_path, backup);
-          displaced.emplace_back(final_path, backup);
-        }
-        fs::rename(staging_path(file), final_path);
-        flipped.push_back(final_path);
-      }
-    } catch (...) {
-      std::error_code ignore;
-      for (const fs::path& path : flipped) fs::remove(path, ignore);
-      for (const auto& [final_path, backup] : displaced) {
-        fs::rename(backup, final_path, ignore);
-      }
-      throw;  // the outer catch clears remaining staging litter
-    }
-    std::error_code ignore;
-    for (const auto& [final_path, backup] : displaced) {
-      fs::remove(backup, ignore);
-    }
-    // Repartitioning into fewer shards must not strand the old store's
-    // surplus shard files next to the new manifest (Open ignores them,
-    // but they are stale snapshots of the old matrix). Our stores number
-    // shards contiguously, so sweep from shard_count until a gap.
-    for (std::size_t i = shard_count; ; ++i) {
-      fs::path stale = fs::path(dir) / ShardFileName(i);
-      if (!fs::remove(stale, ignore)) break;
-    }
+    manifest.Save(manifest_path);
   } catch (...) {
-    std::error_code ignore;
-    for (const std::string& file : files) {
-      fs::remove(staging_path(file), ignore);
+    // Only a failed directory fsync throws after the rename; the new
+    // manifest is then live and its shards must stay.
+    bool live = false;
+    try {
+      live = ShardManifest::Load(manifest_path).shards[0].file ==
+             ShardFileName(generation, 0);
+    } catch (const Error&) {
+      live = false;
     }
-    // A directory this call created and never populated should not
-    // outlive the failure (remove() refuses non-empty directories, so a
-    // pre-existing or partially-foreign dir is never touched).
-    if (created_dir) fs::remove(dir, ignore);
+    if (!live) {
+      std::error_code ignore;
+      for (std::size_t i = 0; i < layout.size(); ++i) {
+        fs::remove(fs::path(dir) / ShardFileName(generation, i), ignore);
+      }
+      // remove() refuses a non-empty directory.
+      if (created_dir) fs::remove(dir, ignore);
+    }
     throw;
+  }
+  const std::string manifest_temp =
+      std::string(kShardManifestFileName) + ".tmp.";
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    std::string name = entry.path().filename().string();
+    std::optional<u64> found = ShardFileGeneration(name);
+    if ((found && *found != generation) || name.starts_with(manifest_temp)) {
+      fs::remove(entry.path(), ec);
+    }
   }
   return manifest;
 }
@@ -155,11 +139,12 @@ ShardManifest MatrixStore::Partition(const DenseMatrix& dense,
   MatrixSpec inner = ParseInnerSpec(inner_spec);
   std::size_t per_shard =
       policy.ResolveRowsPerShard(dense.rows(), dense.cols());
-  return WriteStore(dense.rows(), dense.cols(), per_shard, dir, ctx,
-                    [&](std::size_t begin, std::size_t end) {
-                      return AnyMatrix::Build(dense.RowSlice(begin, end),
-                                              inner, ctx);
-                    });
+  return WriteStore(
+      dense.rows(), dense.cols(), UniformLayout(dense.rows(), per_shard), dir,
+      ctx, [&](const ShardManifestEntry& shard) {
+        return AnyMatrix::Build(
+            dense.RowSlice(shard.row_begin, shard.row_end), inner, ctx);
+      });
 }
 
 ShardManifest MatrixStore::Partition(std::size_t rows, std::size_t cols,
@@ -172,12 +157,12 @@ ShardManifest MatrixStore::Partition(std::size_t rows, std::size_t cols,
   std::size_t per_shard = policy.ResolveRowsPerShard(rows, cols);
   std::vector<std::vector<Triplet>> buckets =
       BucketTripletsByShard(rows, per_shard, std::move(entries));
-  return WriteStore(rows, cols, per_shard, dir, ctx,
-                    [&](std::size_t begin, std::size_t end) {
-                      return AnyMatrix::Build(end - begin, cols,
-                                              std::move(buckets[begin /
-                                                                per_shard]),
-                                              inner, ctx);
+  return WriteStore(rows, cols, UniformLayout(rows, per_shard), dir, ctx,
+                    [&](const ShardManifestEntry& shard) {
+                      return AnyMatrix::Build(
+                          shard.rows(), cols,
+                          std::move(buckets[shard.row_begin / per_shard]),
+                          inner, ctx);
                     });
 }
 
@@ -200,38 +185,18 @@ std::string MatrixStore::ManifestPath(const std::string& dir_or_manifest) {
   return path.string();
 }
 
-ShardManifest MatrixStore::ReadManifest(const std::string& dir_or_manifest) {
-  return ShardManifest::Load(ManifestPath(dir_or_manifest));
-}
-
 ShardManifest MatrixStore::Resave(const std::string& dir_or_manifest) {
   std::string manifest_path = ManifestPath(dir_or_manifest);
   ShardManifest old = ShardManifest::Load(manifest_path);
   std::string dir = fs::path(manifest_path).parent_path().string();
-  GCM_CHECK_MSG(!old.shards.empty(), "store manifest " << manifest_path
-                                                       << " lists no shards");
-  // WriteStore re-derives the shard tiling from a uniform grain, so the
-  // migrated layout matches the original only when every shard but the
-  // last covers the same number of rows -- which is how Partition always
-  // cuts. A hand-edited ragged store must be repartitioned instead.
-  std::size_t per_shard = old.shards.front().rows();
-  for (std::size_t i = 0; i + 1 < old.shards.size(); ++i) {
-    GCM_CHECK_MSG(old.shards[i].rows() == per_shard,
-                  "store " << dir << " has a non-uniform shard grain (shard "
-                           << i << " covers " << old.shards[i].rows()
-                           << " rows, shard 0 covers " << per_shard
-                           << "); repartition it instead of --resave");
-  }
   // Each "build" is just a load of the existing shard file: the snapshot
   // payload is adopted as-is and re-emitted in the current container
-  // version, and the PR 5 two-phase flip keeps the migration atomic.
-  return WriteStore(old.rows, old.cols, per_shard, dir, {},
-                    [&](std::size_t begin, std::size_t end) {
-                      (void)end;
-                      const ShardManifestEntry& entry =
-                          old.shards[begin / per_shard];
+  // version over the same row ranges, and the manifest rename commits the
+  // migration.
+  return WriteStore(old.rows, old.cols, old.shards, dir, {},
+                    [&](const ShardManifestEntry& shard) {
                       return AnyMatrix::Load(
-                          (fs::path(dir) / entry.file).string());
+                          (fs::path(dir) / shard.file).string());
                     });
 }
 

@@ -6,7 +6,7 @@
 //
 //    MatrixStore::Partition(dense, "gcm:re_ans",
 //                           {.rows_per_shard = 100000}, "store/");
-//    store/manifest.gcsnap, store/shard_00000.gcsnap, ...
+//    store/manifest.gcsnap, store/shard_g1_00000.gcsnap, ...
 //
 // Consumer side -- Open reads only the manifest and returns the store as
 // an engine matrix (a ShardedMatrix behind AnyMatrix), so startup cost is
@@ -44,13 +44,13 @@ class MatrixStore {
   /// (any non-sharded engine spec) and writes shard snapshots plus the
   /// manifest into `dir` (created if absent). Returns the manifest.
   ///
-  /// A BuildContext pool builds the shards concurrently; files are then
-  /// persisted in manifest order, so shard files and the manifest are
-  /// byte-identical to the sequential output. The write is atomic at the
-  /// directory level: every file lands under a temporary name and is
-  /// renamed only after all of them (manifest last) are complete, so a
-  /// failed Partition never leaves a directory Open would half-accept --
-  /// an existing store being overwritten stays intact on failure.
+  /// A BuildContext pool builds and writes the shards concurrently; files
+  /// are byte-identical to the sequential output. Shards take a new
+  /// generation's names (shard_g<gen>_<i>.gcsnap) and the manifest rename
+  /// commits them, so a Partition that throws leaves an existing store
+  /// byte-for-byte intact and a SIGKILL leaves the old store or the new
+  /// one; after the commit, older generations' shard files are removed
+  /// (other files in `dir` stay).
   static ShardManifest Partition(const DenseMatrix& dense,
                                  const std::string& inner_spec,
                                  const ShardingPolicy& policy,
@@ -75,16 +75,12 @@ class MatrixStore {
 
   /// Rewrites every file of an existing store in the current container
   /// version (`mm_repair_cli --resave`): each shard snapshot is loaded
-  /// (any supported version) and re-emitted, and a fresh manifest with the
-  /// new checksums lands last -- all through the same staged-temp + rename
-  /// pipeline as Partition, so a failure mid-migration leaves the original
-  /// store byte-for-byte intact. No construction pipeline runs (grammars /
-  /// rANS payloads are adopted as-is); file names are normalized to the
-  /// standard shard_<i> layout. Returns the refreshed manifest.
+  /// (any supported version) and re-emitted as a new generation, committed
+  /// by the manifest rename exactly like Partition, so a failure
+  /// mid-migration leaves the original store intact. No construction
+  /// pipeline runs (grammars / rANS payloads are adopted as-is). Returns
+  /// the refreshed manifest.
   static ShardManifest Resave(const std::string& dir_or_manifest);
-
-  /// Reads and validates the manifest alone (no shard file is touched).
-  static ShardManifest ReadManifest(const std::string& dir_or_manifest);
 
   /// The manifest path for a store directory (the argument unchanged if
   /// it already names a file).

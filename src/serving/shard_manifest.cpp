@@ -1,7 +1,6 @@
 #include "serving/shard_manifest.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "encoding/byte_stream.hpp"
 #include "encoding/snapshot.hpp"
@@ -14,12 +13,6 @@ namespace {
 constexpr u64 kManifestPayloadVersion = 1;
 
 }  // namespace
-
-std::string ShardFileName(std::size_t index) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "shard_%05zu.gcsnap", index);
-  return name;
-}
 
 std::string ShardSectionName(std::size_t index) {
   return "shard_" + std::to_string(index);
@@ -131,7 +124,7 @@ void ShardManifest::Save(const std::string& path) const {
   meta.PutVarint(cols);
   meta.Put<u64>(TotalCompressedBytes());
   SerializeInto(&writer.BeginSection(kShardManifestSection));
-  writer.WriteFile(path);
+  WriteFileBytes(path, writer.Finish());
 }
 
 ShardManifest ShardManifest::Load(const std::string& path) {

@@ -4,12 +4,12 @@
 // A sharded store on disk is
 //
 //   store/
-//     manifest.gcsnap      <- this file (a snapshot container, spec
-//                             "sharded?inner=...&shards=N", sections
-//                             "meta" + "manifest")
-//     shard_00000.gcsnap   <- ordinary AnyMatrix snapshots, one per
-//     shard_00001.gcsnap      contiguous row range
-//     ...
+//     manifest.gcsnap        <- this file (a snapshot container, spec
+//                               "sharded?inner=...&shards=N", sections
+//                               "meta" + "manifest")
+//     shard_g1_00000.gcsnap  <- ordinary AnyMatrix snapshots, one per
+//     shard_g1_00001.gcsnap     contiguous row range, named by the
+//     ...                       generation that wrote them (MatrixStore)
 //
 // The manifest records, per shard: the row range it covers, the snapshot
 // file name (relative to the manifest's directory), the shard's engine
@@ -43,10 +43,8 @@ inline constexpr const char* kShardManifestFileName = "manifest.gcsnap";
 /// Snapshot section names used by the sharded formats.
 inline constexpr const char* kShardManifestSection = "manifest";
 
-/// Name of shard file `index` inside a store directory
-/// ("shard_00000.gcsnap"), and of the embedded section in the single-file
-/// form ("shard_0").
-std::string ShardFileName(std::size_t index);
+/// Name of shard `index`'s embedded section in the single-file form
+/// ("shard_0").
 std::string ShardSectionName(std::size_t index);
 
 /// The sharded spec grammar nests a full inner spec inside one ?key=value

@@ -215,17 +215,17 @@ TEST_P(BlockedTest, ParallelMatchesSequential) {
             1e-12);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BlockedTest,
-    ::testing::Values(BlockedCase{GcFormat::kCsrv, 1},
-                      BlockedCase{GcFormat::kCsrv, 4},
-                      BlockedCase{GcFormat::kRe32, 3},
-                      BlockedCase{GcFormat::kRe32, 16},
-                      BlockedCase{GcFormat::kReIv, 2},
-                      BlockedCase{GcFormat::kReIv, 8},
-                      BlockedCase{GcFormat::kReAns, 4},
-                      BlockedCase{GcFormat::kReAns, 7},
-                      BlockedCase{GcFormat::kRe32, 200}));
+// CTest names each case after the bytes GetParam() prints, padding
+// included. A static array starts zeroed, so the padding after `format`
+// is 0 in every build; cases built as temporaries carried stack garbage
+// there and got a new CTest name on every build.
+const BlockedCase kBlockedCases[] = {
+    {GcFormat::kCsrv, 1},  {GcFormat::kCsrv, 4},  {GcFormat::kRe32, 3},
+    {GcFormat::kRe32, 16}, {GcFormat::kReIv, 2},  {GcFormat::kReIv, 8},
+    {GcFormat::kReAns, 4}, {GcFormat::kReAns, 7}, {GcFormat::kRe32, 200}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BlockedTest,
+                         ::testing::ValuesIn(kBlockedCases));
 
 TEST(BlockedTest, MoreBlocksThanRowsStillWorks) {
   Rng rng(227);

@@ -31,6 +31,12 @@ struct PipelineCase {
   GcFormat format;
 };
 
+// CTest names each case after what GetParam() prints; without this the
+// default printer dumps the `dataset` pointer, whose value differs per run.
+void PrintTo(const PipelineCase& param, std::ostream* os) {
+  *os << param.dataset << "/" << FormatName(param.format);
+}
+
 class PipelineTest : public ::testing::TestWithParam<PipelineCase> {};
 
 TEST_P(PipelineTest, ReorderBlockCompressIterate) {

@@ -14,6 +14,8 @@
 //    first touch, reports page-granular residency, and eviction
 //    (madvise + handle drop) round-trips back to a bitwise-identical
 //    reload.
+// 4. Rewrites under live mappings: re-saving a mapped snapshot or
+//    repartitioning an open store never changes what a live handle reads.
 //
 // Runs on every compiler configuration including the asan-ubsan and tsan
 // presets -- borrowed-span lifetime bugs are exactly what sanitizers see
@@ -33,6 +35,7 @@
 #include "serving/matrix_store.hpp"
 #include "serving/shard_manifest.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/mapped_file.hpp"
 #include "util/rng.hpp"
 
@@ -51,10 +54,6 @@ std::vector<double> RandomVector(std::size_t n, u64 seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.NextDouble() * 2.0 - 1.0;
   return v;
-}
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 /// The generator behind the checked-in tests/data fixtures: entry (r, c)
@@ -92,7 +91,7 @@ TEST_P(MmapConformanceTest, MappedLoadBitwiseEqualsCopiedLoad) {
   }
   DenseMatrix dense = TestMatrix();
   AnyMatrix built = AnyMatrix::Build(dense, GetParam());
-  std::string path = TempPath("mmap_conformance.gcsnap");
+  std::string path = TestTempPath("mmap_conformance.gcsnap");
   built.Save(path);
 
   AnyMatrix mapped = AnyMatrix::Load(path);            // mmap + borrow
@@ -146,7 +145,7 @@ TEST_P(V1FixtureTest, V1SnapshotStillLoadsAndMigrates) {
 
   // Migration: re-saving writes the current (v2) container; the reloaded
   // matrix -- now borrowed from an aligned mapping -- is bitwise equal.
-  std::string migrated = TempPath(std::string("migrated_") + GetParam());
+  std::string migrated = TestTempPath("migrated.gcsnap");
   v1.Save(migrated);
   EXPECT_EQ(SnapshotReader::FromFile(migrated).version(), kSnapshotVersion);
   AnyMatrix v2 = AnyMatrix::Load(migrated);
@@ -171,8 +170,7 @@ TEST(V1FixtureTest, V1StoreServesAndResavesAsV2) {
   // Work on a copy: Resave rewrites in place and the checked-in store
   // must stay v1 for the next run.
   fs::path src = DataPath("v1_store");
-  fs::path dir = fs::path(::testing::TempDir()) / "v1_store_migrate";
-  fs::remove_all(dir);
+  fs::path dir = TestTempPath("v1_store");
   fs::create_directories(dir);
   for (const auto& entry : fs::directory_iterator(src)) {
     fs::copy_file(entry.path(), dir / entry.path().filename());
@@ -203,8 +201,7 @@ TEST(V1FixtureTest, V1StoreServesAndResavesAsV2) {
 
 TEST(MmapResidencyTest, ColdStartMapsEvictsAndReloadsBitwise) {
   DenseMatrix dense = TestMatrix();
-  fs::path dir = fs::path(::testing::TempDir()) / "mmap_cold_start_store";
-  fs::remove_all(dir);
+  fs::path dir = TestTempPath("store");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 3}, dir.string());
 
   AnyMatrix m = MatrixStore::Open(dir.string());  // lazy: nothing resident
@@ -255,11 +252,69 @@ TEST(MmapResidencyTest, ColdStartMapsEvictsAndReloadsBitwise) {
   EXPECT_EQ(m.MultiplyRight(x), oracle.MultiplyRight(x));
 }
 
+TEST(MmapResidencyTest, RepartitionUnderAnOpenStoreKeepsResidentShards) {
+  // A server holds a lazily opened store while a producer repartitions
+  // the directory. The resident shard keeps its mapping (the new store
+  // is written under new names, and removing the old files does not
+  // touch mapped bytes); re-faulting an evicted shard of the old open
+  // reports its vanished file instead of crashing.
+  DenseMatrix dense = TestMatrix();
+  std::string dir = TestTempPath("store");
+  MatrixStore::Partition(dense, "gcm:re_32", {.shards = 3}, dir);
+  AnyMatrix old_store = MatrixStore::Open(dir);
+  const ShardedMatrix& sharded = *ShardedMatrix::FromKernel(old_store.kernel());
+  const ShardManifestEntry& first = sharded.manifest().shards[0];
+  sharded.LoadShard(0);
+  std::vector<double> x = RandomVector(dense.cols(), 17);
+  std::vector<double> expected(first.rows());
+  sharded.MultiplyRightRangeInto(x, expected, 0, first.row_end);
+
+  Rng rng(99);
+  DenseMatrix other = DenseMatrix::Random(30, dense.cols(), 0.5, 6, &rng);
+  MatrixStore::Partition(other, "csr", {.shards = 2}, dir);
+
+  std::vector<double> y(first.rows());
+  sharded.MultiplyRightRangeInto(x, y, 0, first.row_end);
+  EXPECT_EQ(y, expected);
+  EXPECT_EQ(MatrixStore::Open(dir).ToDense(), other);
+
+  ASSERT_TRUE(sharded.EvictShard(0));
+  try {
+    sharded.LoadShard(0);
+    FAIL() << "re-faulting a shard whose file was replaced succeeded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(first.file), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MmapResaveTest, ResaveUnderALiveMappingKeepsTheOldProduct) {
+  // Re-saving a path that a live handle maps must not pull the bytes out
+  // from under the mapping: truncating the file in place would make the
+  // handle's next multiply die with SIGBUS (or read the new matrix).
+  Rng rng(31);
+  DenseMatrix dense = DenseMatrix::Random(600, 40, 0.5, 6, &rng);
+  std::string path = TestTempPath("resaved.gcsnap");
+  AnyMatrix::Build(dense, "csr").Save(path);
+  AnyMatrix mapped = AnyMatrix::Load(path);
+  std::vector<double> x = RandomVector(dense.cols(), 5);
+  std::vector<double> y = RandomVector(dense.rows(), 6);
+  std::vector<double> expected_right = mapped.MultiplyRight(x);
+  std::vector<double> expected_left = mapped.MultiplyLeft(y);
+
+  DenseMatrix smaller = DenseMatrix::Random(4, dense.cols(), 0.5, 6, &rng);
+  AnyMatrix::Build(smaller, "csr").Save(path);
+
+  EXPECT_EQ(mapped.MultiplyRight(x), expected_right);
+  EXPECT_EQ(mapped.MultiplyLeft(y), expected_left);
+  EXPECT_EQ(AnyMatrix::Load(path).ToDense(), smaller);
+}
+
 TEST(MmapResidencyTest, SingleFileShardSectionsAreCacheLineAligned) {
   DenseMatrix dense = TestMatrix();
   AnyMatrix built =
       AnyMatrix::Build(dense, "sharded?inner=csr&rows_per_shard=16");
-  std::string path = TempPath("aligned_sharded.gcsnap");
+  std::string path = TestTempPath("aligned_sharded.gcsnap");
   built.Save(path);
 
   SnapshotReader reader = SnapshotReader::FromFile(path);

@@ -24,6 +24,7 @@
 #include "net/server.hpp"
 #include "serving/matrix_store.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace gcm {
@@ -43,12 +44,6 @@ std::vector<double> RandomVector(std::size_t n, u64 seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.NextDouble() * 2.0 - 1.0;
   return v;
-}
-
-std::string StoreDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("net_serving_" + name);
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 std::vector<u8> ValidPingFrameBytes() {
@@ -441,7 +436,7 @@ TEST(NetServerTest, ConnectionLimitRefusedWithNamedError) {
 
 TEST(NetServerTest, RangeRequestsTouchOnlyOverlappingShards) {
   DenseMatrix dense = TestDense();  // 60 rows
-  std::string dir = StoreDir("range_touch");
+  std::string dir = TestTempPath("range_touch");
   MatrixStore::Partition(dense, "csr", {.shards = 6}, dir);  // 10 rows each
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
   const ShardedMatrix* sharded = ShardedMatrix::FromKernel(m.kernel());
@@ -461,7 +456,7 @@ TEST(NetServerTest, RangeRequestsTouchOnlyOverlappingShards) {
 
 TEST(NetServerTest, ResidencyLimitBoundsTheWorkingSet) {
   DenseMatrix dense = TestDense();
-  std::string dir = StoreDir("residency");
+  std::string dir = TestTempPath("residency");
   MatrixStore::Partition(dense, "csr", {.shards = 6}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
   const ShardedMatrix* sharded = ShardedMatrix::FromKernel(m.kernel());

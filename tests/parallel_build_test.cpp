@@ -4,15 +4,22 @@
 // are byte-identical, and a pool-built MatrixStore is byte-identical file
 // by file (manifest + every shard). Also covers the producer-side failure
 // paths: a failed Partition must never leave a directory MatrixStore::Open
-// half-accepts, build exceptions must propagate out of the pool, and
+// half-accepts, a writer killed at any instant must leave the old store or
+// the new one, build exceptions must propagate out of the pool, and
 // oversized shards must be rejected by name. Runs under the
 // `parallel_build_smoke` CTest label on every CI configuration.
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,8 +30,10 @@
 #include "matrix/sparse_builder.hpp"
 #include "serving/matrix_store.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace gcm {
 namespace {
@@ -48,13 +57,6 @@ std::vector<Triplet> TestTriplets(std::size_t rows, std::size_t cols) {
     }
   }
   return entries;
-}
-
-/// Fresh directory under the test temp dir (wiped first).
-std::string FreshDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("parallel_build_" + name);
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 /// Snapshot of a directory's regular files as (name, bytes), sorted by
@@ -127,8 +129,8 @@ TEST(ParallelBuildDeterminismTest, SingleThreadPoolBuildCompletes) {
 TEST(ParallelBuildDeterminismTest, StoreFilesMatchSequential) {
   DenseMatrix dense = TestMatrix();
   ThreadPool pool(4);
-  std::string seq_dir = FreshDir("store_seq");
-  std::string pool_dir = FreshDir("store_pool");
+  std::string seq_dir = TestTempPath("store_seq");
+  std::string pool_dir = TestTempPath("store_pool");
   MatrixStore::Partition(dense, "gcm:re_ans?blocks=2", {.shards = 5},
                          seq_dir);
   MatrixStore::Partition(dense, "gcm:re_ans?blocks=2", {.shards = 5},
@@ -147,8 +149,8 @@ TEST(ParallelBuildDeterminismTest, StoreFilesMatchSequential) {
 TEST(ParallelBuildDeterminismTest, TripletStoreFilesMatchSequential) {
   std::vector<Triplet> entries = TestTriplets(100, 9);
   ThreadPool pool(3);
-  std::string seq_dir = FreshDir("triplet_store_seq");
-  std::string pool_dir = FreshDir("triplet_store_pool");
+  std::string seq_dir = TestTempPath("triplet_store_seq");
+  std::string pool_dir = TestTempPath("triplet_store_pool");
   MatrixStore::Partition(100, 9, entries, "gcm:re_32", {.rows_per_shard = 30},
                          seq_dir);
   MatrixStore::Partition(100, 9, entries, "gcm:re_32", {.rows_per_shard = 30},
@@ -161,7 +163,7 @@ TEST(ParallelBuildDeterminismTest, PooledStoreServesTheDenseOracle) {
   // the matrix it partitioned.
   DenseMatrix dense = TestMatrix();
   ThreadPool pool(4);
-  std::string dir = FreshDir("store_serve");
+  std::string dir = TestTempPath("store_serve");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 4}, dir,
                          {.pool = &pool});
   AnyMatrix served = MatrixStore::Open(dir);
@@ -183,7 +185,7 @@ TEST(ParallelBuildFailureTest, FailedPartitionLeavesNoHalfStore) {
   // store directory must not even exist afterwards -- nothing for
   // MatrixStore::Open to half-accept.
   DenseMatrix dense = TestMatrix();
-  std::string dir = FreshDir("failed_partition");
+  std::string dir = TestTempPath("failed_partition");
   EXPECT_THROW(MatrixStore::Partition(dense, "gcm:re_ans?fold_bits=20",
                                       {.shards = 3}, dir),
                Error);
@@ -195,7 +197,7 @@ TEST(ParallelBuildFailureTest, FailedRepartitionPreservesExistingStore) {
   // Overwriting a healthy store with a failing build must leave every
   // original file untouched (the staged-rename protocol's whole point).
   DenseMatrix dense = TestMatrix();
-  std::string dir = FreshDir("repartition");
+  std::string dir = TestTempPath("repartition");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 3}, dir);
   auto before = DirContents(dir);
   ThreadPool pool(2);
@@ -210,7 +212,7 @@ TEST(ParallelBuildFailureTest, ShrinkingRepartitionSweepsStaleShards) {
   // Repartitioning a store into fewer shards must not strand the old
   // layout's surplus shard files next to the new manifest.
   DenseMatrix dense = TestMatrix();
-  std::string dir = FreshDir("shrink");
+  std::string dir = TestTempPath("shrink");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 5}, dir);
   ASSERT_EQ(DirContents(dir).size(), 6u);
   ThreadPool pool(2);
@@ -218,6 +220,65 @@ TEST(ParallelBuildFailureTest, ShrinkingRepartitionSweepsStaleShards) {
                          {.pool = &pool});
   EXPECT_EQ(DirContents(dir).size(), 3u);  // 2 shards + manifest, no stale
   EXPECT_NO_THROW(MatrixStore::Open(dir, ShardLoadMode::kEager));
+}
+
+TEST(ParallelBuildFailureTest, KilledRepartitionOpensAsOldOrNewMatrix) {
+  // A child repartitions one directory over and over, alternating two
+  // matrices with different shard counts; the parent SIGKILLs it after a
+  // seeded random delay. Wherever the kill lands, the store must open as
+  // one of the two matrices, and the next Partition must succeed.
+  Rng rng(2718);
+  const DenseMatrix a = DenseMatrix::Random(120, 13, 0.5, 6, &rng);
+  const DenseMatrix b = DenseMatrix::Random(90, 13, 0.5, 6, &rng);
+  const std::string dir = TestTempPath("store");
+  auto partition = [&dir, &a, &b](u64 i) {
+    if (i % 2 == 0) {
+      MatrixStore::Partition(a, "csr", {.shards = 3}, dir);
+    } else {
+      MatrixStore::Partition(b, "csr", {.shards = 5}, dir);
+    }
+  };
+  // Kill delays span a little over one two-Partition cycle, so kills land
+  // in every phase of a write.
+  Timer cycle;
+  partition(1);
+  partition(0);
+  const double max_delay_s = 1.5 * cycle.Seconds();
+
+  constexpr int kKills = 60;
+  int failed_opens = 0;
+  for (int k = 0; k < kKills; ++k) {
+    pid_t child = ::fork();
+    ASSERT_GE(child, 0) << "fork failed";
+    if (child == 0) {
+      try {
+        for (u64 i = 1;; ++i) partition(i);
+      } catch (...) {
+        ::_exit(1);
+      }
+    }
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(rng.NextDouble() * max_delay_s));
+    ::kill(child, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "the writer exited on its own";
+
+    try {
+      DenseMatrix opened =
+          MatrixStore::Open(dir, ShardLoadMode::kEager).ToDense();
+      EXPECT_TRUE(opened == a || opened == b) << "kill " << k;
+    } catch (const Error& e) {
+      ++failed_opens;
+      ADD_FAILURE() << "kill " << k << ": " << e.what();
+    }
+    ASSERT_NO_THROW(partition(static_cast<u64>(k)));
+  }
+  EXPECT_EQ(failed_opens, 0) << "of " << kKills << " kills";
+  // A committed Partition sweeps older generations and whatever staged
+  // files the killed writers left behind.
+  partition(0);
+  EXPECT_EQ(DirContents(dir).size(), 4u);  // 3 shards + manifest
 }
 
 TEST(ParallelBuildFailureTest, BuildExceptionPropagatesThroughThePool) {
@@ -250,7 +311,7 @@ TEST(ParallelBuildFailureTest, OversizedShardRejectedByName) {
 // --------------------------------------------------------------------------
 
 TEST(ManifestPathTest, ResolvesDirectoriesFilesAndMissingPaths) {
-  std::string dir = FreshDir("manifest_path");
+  std::string dir = TestTempPath("manifest_path");
   fs::create_directories(dir);
   EXPECT_EQ(MatrixStore::ManifestPath(dir),
             (fs::path(dir) / "manifest.gcsnap").string());

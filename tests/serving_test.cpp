@@ -25,6 +25,7 @@
 #include "serving/matrix_store.hpp"
 #include "serving/shard_manifest.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -43,13 +44,6 @@ std::vector<double> RandomVector(std::size_t n, u64 seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.NextDouble() * 2.0 - 1.0;
   return v;
-}
-
-/// Fresh store directory under the test temp dir (wiped first).
-std::string StoreDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("serving_" + name);
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 const ShardedMatrix& Sharded(const AnyMatrix& m) {
@@ -107,7 +101,7 @@ TEST(InnerSpecTest, EscapingIsTotal) {
 
 TEST(ShardManifestTest, FileRoundTrip) {
   ShardManifest manifest = SmallManifest();
-  std::string path = StoreDir("manifest_rt");
+  std::string path = TestTempPath("manifest_rt");
   fs::create_directories(path);
   std::string file = (fs::path(path) / kShardManifestFileName).string();
   manifest.Save(file);
@@ -157,7 +151,7 @@ TEST(ShardManifestTest, CorruptManifestSectionIsNamed) {
 
 TEST(MatrixStoreTest, PartitionOpenMatchesDenseOracle) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("oracle");
+  std::string dir = TestTempPath("oracle");
   ShardManifest manifest = MatrixStore::Partition(
       dense, "gcm:re_iv", {.rows_per_shard = 16}, dir);
   EXPECT_EQ(manifest.shards.size(), 4u);
@@ -180,7 +174,7 @@ TEST(MatrixStoreTest, PartitionOpenMatchesDenseOracle) {
 
 TEST(MatrixStoreTest, PooledAndUnpooledScatterGatherAreBitwiseEqual) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("pool");
+  std::string dir = TestTempPath("pool");
   MatrixStore::Partition(dense, "csrv", {.shards = 5}, dir);
   AnyMatrix m = MatrixStore::Open(dir);
   ThreadPool pool(3);
@@ -194,7 +188,7 @@ TEST(MatrixStoreTest, DenseShardsReproduceTheOracleBitForBit) {
   // With dense shards the scatter path runs exactly the oracle's per-row
   // accumulation over disjoint row ranges, so even the bits must match.
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("bitwise");
+  std::string dir = TestTempPath("bitwise");
   MatrixStore::Partition(dense, "dense", {.shards = 4}, dir);
   AnyMatrix m = MatrixStore::Open(dir);
   ThreadPool pool(4);
@@ -205,7 +199,7 @@ TEST(MatrixStoreTest, DenseShardsReproduceTheOracleBitForBit) {
 
 TEST(MatrixStoreTest, LazyLoadsOnFirstTouchAndReloadsAfterEvict) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("lazy");
+  std::string dir = TestTempPath("lazy");
   MatrixStore::Partition(dense, "csr", {.shards = 3}, dir);
 
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
@@ -228,7 +222,7 @@ TEST(MatrixStoreTest, LazyLoadsOnFirstTouchAndReloadsAfterEvict) {
 
 TEST(MatrixStoreTest, EagerOpenLoadsEverything) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("eager");
+  std::string dir = TestTempPath("eager");
   MatrixStore::Partition(dense, "csr", {.shards = 3}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kEager);
   EXPECT_EQ(Sharded(m).LoadedShardCount(), 3u);
@@ -236,7 +230,7 @@ TEST(MatrixStoreTest, EagerOpenLoadsEverything) {
 
 TEST(MatrixStoreTest, EvictToResidencyLimitKeepsTheMostRecentlyTouched) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("lru");
+  std::string dir = TestTempPath("lru");
   MatrixStore::Partition(dense, "csr", {.shards = 4}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kEager);
   const ShardedMatrix& sharded = Sharded(m);
@@ -250,7 +244,7 @@ TEST(MatrixStoreTest, EvictToResidencyLimitKeepsTheMostRecentlyTouched) {
 
 TEST(MatrixStoreTest, ReopeningRunsZeroRePairConstructions) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("norepair");
+  std::string dir = TestTempPath("norepair");
   MatrixStore::Partition(dense, "gcm:re_ans", {.shards = 3}, dir);
 
   u64 repair_before = RePairInvocationCount();
@@ -264,7 +258,7 @@ TEST(MatrixStoreTest, ReopeningRunsZeroRePairConstructions) {
 
 TEST(MatrixStoreTest, CorruptShardFileFailsItsChecksumByName) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("corrupt");
+  std::string dir = TestTempPath("corrupt");
   ShardManifest manifest =
       MatrixStore::Partition(dense, "csrv", {.shards = 3}, dir);
 
@@ -292,7 +286,7 @@ TEST(MatrixStoreTest, CorruptShardFileFailsItsChecksumByName) {
 
 TEST(MatrixStoreTest, MissingShardFileIsNamed) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("missing");
+  std::string dir = TestTempPath("missing");
   ShardManifest manifest =
       MatrixStore::Partition(dense, "csr", {.shards = 2}, dir);
   fs::remove(fs::path(dir) / manifest.shards[0].file);
@@ -309,7 +303,7 @@ TEST(MatrixStoreTest, MissingShardFileIsNamed) {
 
 TEST(MatrixStoreTest, TripletPartitionMatchesDensePartition) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("triplets");
+  std::string dir = TestTempPath("triplets");
   MatrixStore::Partition(dense.rows(), dense.cols(),
                          TripletsFromDense(dense), "csrv",
                          {.rows_per_shard = 25}, dir);
@@ -320,7 +314,7 @@ TEST(MatrixStoreTest, TripletPartitionMatchesDensePartition) {
 
 TEST(MatrixStoreTest, TargetBytesPolicyBoundsTheDenseSliceSize) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("bytes");
+  std::string dir = TestTempPath("bytes");
   ShardManifest manifest = MatrixStore::Partition(
       dense, "csr",
       {.target_bytes = 20 * dense.cols() * sizeof(double)}, dir);
@@ -354,7 +348,7 @@ TEST(ShardedSpecTest, RejectsNestingAndUnknownInner) {
   EXPECT_THROW(AnyMatrix::Build(dense, "sharded?inner=wavelet"),
                std::invalid_argument);
   EXPECT_THROW(MatrixStore::Partition(dense, "sharded?inner=csr", {},
-                                      StoreDir("nested")),
+                                      TestTempPath("nested")),
                std::invalid_argument);
 }
 
@@ -394,7 +388,7 @@ TEST(ShardedSpecTest, SingleFileSnapshotRoundTrip) {
 
 TEST(ShardedSpecTest, StoreManifestLoadsThroughTheEngineFrontDoor) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("frontdoor");
+  std::string dir = TestTempPath("frontdoor");
   MatrixStore::Partition(dense, "csr", {.shards = 3}, dir);
   std::string manifest_path = MatrixStore::ManifestPath(dir);
 
@@ -418,7 +412,7 @@ TEST(ShardedSpecTest, StoreManifestLoadsThroughTheEngineFrontDoor) {
 
 TEST(ShardedSpecTest, StoreConsolidatesIntoASingleFileSnapshot) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("consolidate");
+  std::string dir = TestTempPath("consolidate");
   MatrixStore::Partition(dense, "csr_iv", {.shards = 3}, dir);
   AnyMatrix store = MatrixStore::Open(dir);
 

@@ -10,6 +10,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "matrix/csrv.hpp"
 #include "matrix/matrix_io.hpp"
 #include "matrix/sparse_builder.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace gcm {
@@ -28,10 +32,6 @@ namespace {
 DenseMatrix TestMatrix() {
   Rng rng(1337);
   return DenseMatrix::Random(20, 9, 0.6, 4, &rng);
-}
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 /// Re-stamps the header checksum after a test mutated the body, so the
@@ -314,7 +314,7 @@ TEST(SnapshotEngineTest, TrailingBytesInPayloadSectionAreRejected) {
 
 TEST(SnapshotEngineTest, LoadReportsFilePath) {
   try {
-    AnyMatrix::Load(TempPath("does_not_exist.gcsnap"));
+    AnyMatrix::Load(TestTempPath("does_not_exist.gcsnap"));
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("does_not_exist.gcsnap"),
@@ -328,11 +328,11 @@ TEST(SnapshotEngineTest, LoadReportsFilePath) {
 
 TEST(MatrixFileTest, SniffsAllFiveKinds) {
   DenseMatrix dense = TestMatrix();
-  std::string snapshot = TempPath("sniff.gcsnap");
-  std::string dense_bin = TempPath("sniff.dmat");
-  std::string csrv_bin = TempPath("sniff.csrv");
-  std::string market = TempPath("sniff.mtx");
-  std::string text = TempPath("sniff.txt");
+  std::string snapshot = TestTempPath("sniff.gcsnap");
+  std::string dense_bin = TestTempPath("sniff.dmat");
+  std::string csrv_bin = TestTempPath("sniff.csrv");
+  std::string market = TestTempPath("sniff.mtx");
+  std::string text = TestTempPath("sniff.txt");
   AnyMatrix::Wrap(DenseMatrix(dense)).Save(snapshot);
   SaveDense(dense, dense_bin);
   SaveCsrv(CsrvMatrix::FromDense(dense), csrv_bin);
@@ -356,21 +356,21 @@ TEST(MatrixFileTest, SniffsAllFiveKinds) {
 
 TEST(MatrixFileTest, LoadAutoPreservesStoredBackend) {
   DenseMatrix dense = TestMatrix();
-  std::string path = TempPath("backend.gcsnap");
+  std::string path = TestTempPath("backend.gcsnap");
   AnyMatrix::Build(dense, "gcm:re_iv?blocks=3").Save(path);
   AnyMatrix loaded = LoadAuto(path);
   EXPECT_EQ(loaded.FormatTag(), "gcm:re_iv?blocks=3");
   std::remove(path.c_str());
 
   // MatrixMarket is a sparse text format; it ingests as CSR.
-  std::string market = TempPath("backend.mtx");
+  std::string market = TestTempPath("backend.mtx");
   SaveMatrixMarket(dense, market);
   EXPECT_EQ(LoadAuto(market).FormatTag(), "csr");
   std::remove(market.c_str());
 }
 
 TEST(MatrixFileTest, LegacyGcmFilesAreRejectedWithAMessage) {
-  std::string path = TempPath("legacy.gcm");
+  std::string path = TestTempPath("legacy.gcm");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("GCM1\x01\x02\x03\x04 binary soup", f);
@@ -388,7 +388,7 @@ TEST(MatrixFileTest, TextFormatsPreserveFullDoublePrecision) {
   // Values that need all 17 significant digits to survive a text round
   // trip; the writers must not truncate to the default 6.
   DenseMatrix dense(2, 2, {2.718281828459045, 0.0, -1.0 / 3.0, 1e-300});
-  std::string market = TempPath("precision.mtx");
+  std::string market = TestTempPath("precision.mtx");
   SaveMatrixMarket(dense, market);
   MatrixMarketData data = LoadMatrixMarket(market);
   DenseMatrix restored =
@@ -397,7 +397,7 @@ TEST(MatrixFileTest, TextFormatsPreserveFullDoublePrecision) {
   EXPECT_EQ(restored, dense);
   std::remove(market.c_str());
 
-  std::string text = TempPath("precision.txt");
+  std::string text = TestTempPath("precision.txt");
   SaveDenseText(dense, text);
   EXPECT_EQ(LoadDenseText(text), dense);
   std::remove(text.c_str());
@@ -405,7 +405,7 @@ TEST(MatrixFileTest, TextFormatsPreserveFullDoublePrecision) {
 
 TEST(MatrixFileTest, MatrixMarketRoundTrip) {
   DenseMatrix dense = TestMatrix();
-  std::string path = TempPath("roundtrip.mtx");
+  std::string path = TestTempPath("roundtrip.mtx");
   SaveMatrixMarket(dense, path);
   MatrixMarketData data = LoadMatrixMarket(path);
   EXPECT_EQ(data.rows, dense.rows());
@@ -419,7 +419,7 @@ TEST(MatrixFileTest, MatrixMarketRoundTrip) {
 }
 
 TEST(MatrixFileTest, MatrixMarketRejectsMalformedFiles) {
-  std::string path = TempPath("bad.mtx");
+  std::string path = TestTempPath("bad.mtx");
   auto write = [&](const char* content) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -436,7 +436,7 @@ TEST(MatrixFileTest, MatrixMarketRejectsMalformedFiles) {
 }
 
 TEST(MatrixFileTest, EmptyFileIsRejectedByName) {
-  std::string path = TempPath("empty.any");
+  std::string path = TestTempPath("empty.any");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fclose(f);
@@ -479,8 +479,8 @@ TEST(MatrixFileTest, ZeroByteSectionSnapshotIsRejectedByName) {
   meta.PutVarint(dense.cols());
   meta.Put<u64>(0);
   writer.BeginSection("csrv");  // declared, zero bytes
-  std::string path = TempPath("zero_section.gcsnap");
-  writer.WriteFile(path);
+  std::string path = TestTempPath("zero_section.gcsnap");
+  WriteFileBytes(path, writer.Finish());
   EXPECT_EQ(SniffMatrixFile(path), MatrixFileKind::kSnapshot);
   try {
     LoadAuto(path);
@@ -493,7 +493,7 @@ TEST(MatrixFileTest, ZeroByteSectionSnapshotIsRejectedByName) {
 }
 
 TEST(MatrixFileTest, CommentsOnlyMatrixMarketIsRejectedByName) {
-  std::string path = TempPath("comments_only.mtx");
+  std::string path = TestTempPath("comments_only.mtx");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fputs(
@@ -518,6 +518,46 @@ TEST(MatrixFileTest, Crc32MatchesKnownVector) {
   const char* digits = "123456789";
   EXPECT_EQ(Crc32(digits, 9), 0xcbf43926u);
   EXPECT_EQ(Crc32(digits, 0), 0u);
+}
+
+// --------------------------------------------------------------------------
+// The file-write primitive
+// --------------------------------------------------------------------------
+
+TEST(WriteFileBytesTest, ReplacesFilesWholeAndCleansUpOnFailure) {
+  std::filesystem::path dir = TestTempPath("dir");
+  std::filesystem::create_directories(dir);
+  std::string path = (dir / "file.bin").string();
+  WriteFileBytes(path, std::vector<u8>{1, 2, 3});
+  EXPECT_EQ(ReadFileBytes(path), (std::vector<u8>{1, 2, 3}));
+
+  // The usual 0666-minus-umask mode, as an ordinary stream creates it.
+  std::string reference = (dir / "reference.bin").string();
+  std::ofstream(reference).put('x');
+  EXPECT_EQ(std::filesystem::status(path).permissions(),
+            std::filesystem::status(reference).permissions());
+  std::filesystem::remove(reference);
+
+  // A writer that fails midway leaves the old file and no temp sibling.
+  EXPECT_THROW(WriteFileBytes(path,
+                              [](std::ostream& out) {
+                                out << "partial";
+                                throw Error("writer failed");
+                              }),
+               Error);
+  EXPECT_EQ(ReadFileBytes(path), (std::vector<u8>{1, 2, 3}));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
+
+  std::string unwritable = (dir / "missing" / "file.bin").string();
+  try {
+    WriteFileBytes(unwritable, std::vector<u8>{1});
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(unwritable), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

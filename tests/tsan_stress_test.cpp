@@ -32,6 +32,7 @@
 #include "matrix/dense_matrix.hpp"
 #include "serving/matrix_store.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -50,13 +51,6 @@ std::vector<double> RandomVector(std::size_t n, u64 seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.NextDouble() * 2.0 - 1.0;
   return v;
-}
-
-/// Fresh store directory under the test temp dir (wiped first).
-std::string StoreDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("tsan_stress_" + name);
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 const ShardedMatrix& Sharded(const AnyMatrix& m) {
@@ -81,7 +75,7 @@ bool NearlyEqual(const std::vector<double>& a, const std::vector<double>& b) {
 
 TEST(TsanStressTest, MultipliesRaceEvictionWithoutCorruption) {
   DenseMatrix dense = StressMatrix();
-  std::string dir = StoreDir("mul_vs_evict");
+  std::string dir = TestTempPath("mul_vs_evict");
   MatrixStore::Partition(dense, "csr", {.shards = 6}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
   const ShardedMatrix& sharded = Sharded(m);
@@ -142,7 +136,7 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
   // Same race, but the kernels themselves fan shards out on a pool, so
   // eviction interleaves with ParallelFor workers touching the shards.
   DenseMatrix dense = StressMatrix();
-  std::string dir = StoreDir("pooled_vs_evict");
+  std::string dir = TestTempPath("pooled_vs_evict");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 5}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
   const ShardedMatrix& sharded = Sharded(m);
@@ -178,7 +172,7 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
 
 TEST(TsanStressTest, ConcurrentLazyFirstTouchLoads) {
   DenseMatrix dense = StressMatrix();
-  std::string dir = StoreDir("first_touch");
+  std::string dir = TestTempPath("first_touch");
   MatrixStore::Partition(dense, "csr", {.shards = 8}, dir);
 
   std::vector<double> x = RandomVector(dense.cols(), 11);
