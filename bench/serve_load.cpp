@@ -306,7 +306,7 @@ int Main(int argc, char** argv) {
     local_result = run_topology(matrix, "");
   }
   if (topology == "cluster" || topology == "both") {
-    // The registry's loopback-cluster build: local sharded matrix behind
+    // The cluster family's loopback build: local sharded matrix behind
     // --workers real TCP worker servers, coordinator kernel in front. The
     // load generator then talks to a coordinator Server over that kernel,
     // so every request crosses the wire twice (client -> coordinator ->

@@ -9,7 +9,9 @@
 //
 // Every command opens its input through the LoadAuto front door, so the
 // input may be an AnyMatrix snapshot, a binary dense/CSRV container, a
-// MatrixMarket file, or plain dense text -- no flags needed. `compress`
+// MatrixMarket file, or plain dense text -- no flags needed; `info`,
+// `multiply` and `decompress` also open a sharded store directory (through
+// MatrixStore::Open, shards loading on first touch). `compress`
 // writes a versioned snapshot (the deployment artifact: reloading it never
 // re-runs RePair). `--save-snapshot PATH` on multiply/info re-saves
 // whatever was loaded as a snapshot, i.e. converts any readable input;
@@ -46,9 +48,9 @@ int Usage() {
       "       [--resave]\n"
       "inputs may be snapshots, binary dense/CSRV, MatrixMarket, dense "
       "text,\n"
-      "or a sharded store manifest; --save-snapshot with --shards > 1 "
-      "writes a\n"
-      "sharded store directory instead of a single snapshot file;\n"
+      "or a sharded store directory or manifest; --save-snapshot with\n"
+      "--shards > 1 writes a sharded store directory instead of a single\n"
+      "snapshot file;\n"
       "`info --resave` rewrites a snapshot file or store in the current\n"
       "container version (each file replaced by an atomic rename)\n",
       stderr);
@@ -67,6 +69,13 @@ std::string ReshardInnerSpec(const AnyMatrix& matrix, const CliParser& cli) {
     return InnerSpecFromSharded(parsed).ToString();
   }
   return spec;
+}
+
+/// Opens the input of `info`, `multiply` and `decompress`: a store
+/// directory through MatrixStore::Open, any file through LoadAuto.
+AnyMatrix OpenInput(const std::string& input) {
+  if (std::filesystem::is_directory(input)) return MatrixStore::Open(input);
+  return LoadAuto(input);
 }
 
 /// The construction pool per --build-threads (1 = sequential default, 0 =
@@ -179,12 +188,12 @@ int main(int argc, char** argv) {
                   compressed.FormatTag().c_str());
     } else if (command == "decompress") {
       if (cli.positional().size() != 3) return Usage();
-      AnyMatrix matrix = LoadAuto(input);
+      AnyMatrix matrix = OpenInput(input);
       SaveDense(matrix.ToDense(), cli.positional()[2]);
       std::printf("restored %zux%zu dense matrix to %s\n", matrix.rows(),
                   matrix.cols(), cli.positional()[2].c_str());
     } else if (command == "multiply") {
-      AnyMatrix matrix = LoadAuto(input);
+      AnyMatrix matrix = OpenInput(input);
       std::size_t iters = static_cast<std::size_t>(cli.GetInt("iters"));
       PowerIterationResult result = RunPowerIteration(matrix, iters);
       std::printf("%zu iterations of y=Mx; x=(y^tM)/|.|_inf : %.4f s/iter, "
@@ -197,10 +206,14 @@ int main(int argc, char** argv) {
         ResaveInput(input);
         return 0;
       }
-      MatrixFileKind kind = SniffMatrixFile(input);
-      AnyMatrix matrix = LoadAuto(input);
-      std::printf("%s: %s file, %zux%zu, backend %s, %s\n", input.c_str(),
-                  MatrixFileKindName(kind), matrix.rows(), matrix.cols(),
+      std::string kind =
+          std::filesystem::is_directory(input)
+              ? "store directory"
+              : std::string(MatrixFileKindName(SniffMatrixFile(input))) +
+                    " file";
+      AnyMatrix matrix = OpenInput(input);
+      std::printf("%s: %s, %zux%zu, backend %s, %s\n", input.c_str(),
+                  kind.c_str(), matrix.rows(), matrix.cols(),
                   matrix.FormatTag().c_str(),
                   FormatBytes(matrix.CompressedBytes()).c_str());
       MaybeSaveSnapshot(matrix, cli);

@@ -4,7 +4,7 @@
 //   $ ./model_server [--dataset Mnist2m] [--rows 2000] [--batches 50]
 //                    [--spec gcm:re_ans] [--snapshot model.gcsnap]
 //                    [--store store_dir] [--shards 8]
-//                    [--max-resident-shards 4] [--port 0] [--serve]
+//                    [--max-resident-bytes 1048576] [--port 0] [--serve]
 //                    [--batching true] [--eager]
 //
 // The paper's introduction motivates compression for ML model/data storage
@@ -217,9 +217,9 @@ int main(int argc, char** argv) {
               "sharded store directory: open its manifest when present, "
               "else partition the dataset into it (overrides --snapshot)");
   cli.AddFlag("shards", "8", "shard count when partitioning a new store");
-  cli.AddFlag("max-resident-shards", "0",
-              "evict least-recently-used shards down to this residency "
-              "after every batch (0 = unlimited)");
+  cli.AddFlag("max-resident-bytes", "0",
+              "after every batch, evict least-recently-used shards until at "
+              "most this many payload bytes stay resident (0 = unlimited)");
   cli.AddFlag("port", "0", "TCP port to serve on (0 = ephemeral)");
   cli.AddFlag("serve", "false",
               "stay up for external clients instead of running the "
@@ -422,8 +422,8 @@ int main(int argc, char** argv) {
   config.batching = cli.GetBool("batching");
   config.batch_max = static_cast<std::size_t>(cli.GetInt("batch-max"));
   config.batch_window_ms = cli.GetDouble("batch-window-ms");
-  config.max_resident_shards =
-      static_cast<std::size_t>(cli.GetInt("max-resident-shards"));
+  config.max_resident_bytes =
+      static_cast<u64>(cli.GetInt("max-resident-bytes"));
   Server server(served, config);
   server.Start();
   std::printf("serving on 127.0.0.1:%u%s\n",
@@ -449,9 +449,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.max_batch),
               static_cast<unsigned long long>(stats.batched_requests),
               static_cast<unsigned long long>(stats.shard_evictions));
-  if (sharded != nullptr && config.max_resident_shards > 0) {
-    std::printf("residency cap %zu: %zu shards resident at shutdown\n",
-                config.max_resident_shards, sharded->LoadedShardCount());
+  if (sharded != nullptr && config.max_resident_bytes > 0) {
+    std::printf("residency cap %s: %s in %zu shards resident at shutdown\n",
+                FormatBytes(config.max_resident_bytes).c_str(),
+                FormatBytes(sharded->ResidentPayloadBytes()).c_str(),
+                sharded->LoadedShardCount());
   }
   server.Stop();
 

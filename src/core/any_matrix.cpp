@@ -12,13 +12,12 @@
 #include "core/blocked_matrix.hpp"
 #include "core/format_advisor.hpp"
 #include "core/gc_matrix.hpp"
+#include "core/spec_family.hpp"
 #include "encoding/snapshot.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/csrv.hpp"
 #include "matrix/dense_matrix.hpp"
 #include "matrix/sparse_builder.hpp"
-#include "net/cluster/cluster_serving.hpp"
-#include "serving/sharded_matrix.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gcm {
@@ -79,17 +78,11 @@ u64 BackendBytes(const M& m) {
   }
 }
 
+/// The backend's spec tag. A backend without spec keys is tagged with its
+/// family name, which is also its payload section name.
 template <typename M>
 std::string BackendTag(const M& m) {
-  if constexpr (std::is_same_v<M, DenseMatrix>) {
-    return "dense";
-  } else if constexpr (std::is_same_v<M, CsrMatrix>) {
-    return "csr";
-  } else if constexpr (std::is_same_v<M, CsrIvMatrix>) {
-    return "csr_iv";
-  } else if constexpr (std::is_same_v<M, CsrvMatrix>) {
-    return "csrv";
-  } else if constexpr (std::is_same_v<M, GcMatrix>) {
+  if constexpr (std::is_same_v<M, GcMatrix>) {
     std::string tag = std::string("gcm:") + FormatName(m.format());
     // Key order matches MatrixSpec::ToString (alphabetical), so a spec
     // string round-trips through Build + FormatTag unchanged.
@@ -106,8 +99,7 @@ std::string BackendTag(const M& m) {
     }
     return tag;
   } else {
-    static_assert(std::is_same_v<M, ClaMatrix>, "unmapped backend type");
-    return "cla";
+    return PayloadSectionName<M>();
   }
 }
 
@@ -117,10 +109,8 @@ std::string BackendTag(const M& m) {
 template <typename M>
 class KernelAdapter final : public IMatrixKernel {
  public:
-  explicit KernelAdapter(M matrix)
-      : owned_(std::make_unique<const M>(std::move(matrix))),
-        matrix_(owned_.get()) {}
-  explicit KernelAdapter(const M* matrix) : matrix_(matrix) {}
+  KernelAdapter(const M* matrix, std::shared_ptr<const void> owner)
+      : owner_(std::move(owner)), matrix_(matrix) {}
 
   std::size_t rows() const override { return matrix_->rows(); }
   std::size_t cols() const override { return matrix_->cols(); }
@@ -186,40 +176,13 @@ class KernelAdapter final : public IMatrixKernel {
   }
 
  private:
-  std::unique_ptr<const M> owned_;  ///< null for Ref adapters
+  std::shared_ptr<const void> owner_;  ///< null for Ref adapters
   const M* matrix_;
 };
 
-template <typename M>
-AnyMatrix MakeOwned(M matrix) {
-  return AnyMatrix(std::make_shared<KernelAdapter<M>>(std::move(matrix)));
-}
-
-template <typename M>
-AnyMatrix MakeRef(const M& matrix) {
-  return AnyMatrix(std::make_shared<KernelAdapter<M>>(&matrix));
-}
-
 // ---------------------------------------------------------------------------
-// Spec registry
+// Core spec families
 // ---------------------------------------------------------------------------
-
-struct SpecFamily {
-  std::string_view name;
-  /// Allowed :variant values; empty = the family takes no variant.
-  std::vector<std::string_view> variants;
-  /// Allowed ?key names.
-  std::vector<std::string_view> keys;
-  AnyMatrix (*build)(const DenseMatrix&, const MatrixSpec&,
-                     const BuildContext&);
-  /// Restores a matrix of this family from a snapshot; nullptr for
-  /// families that never appear in snapshot headers ("auto" resolves to a
-  /// concrete backend before Save runs). `origin_path` is the file the
-  /// snapshot was read from ("" when loading from bytes); the sharded
-  /// family resolves sibling shard files relative to it.
-  AnyMatrix (*load)(const SnapshotReader&, const MatrixSpec&,
-                    const std::string& origin_path);
-};
 
 /// Parses one backend payload section; every failure inside is rethrown
 /// with the section name attached, so corruption reports say *where* the
@@ -238,29 +201,22 @@ M LoadPayloadMatrix(const SnapshotReader& in) {
   }
 }
 
+/// Restores a backend whose snapshot is its payload section alone.
 template <typename M>
-AnyMatrix LoadPayloadSection(const SnapshotReader& in) {
+AnyMatrix LoadPlainSnapshot(const SnapshotReader& in, const MatrixSpec&,
+                            const std::string&) {
   return AnyMatrix::Wrap(LoadPayloadMatrix<M>(in));
 }
 
-AnyMatrix BuildDenseSpec(const DenseMatrix& dense, const MatrixSpec&,
+/// Builds a backend that takes no spec keys (dense, csr, csr_iv, csrv).
+template <typename M>
+AnyMatrix BuildPlainSpec(const DenseMatrix& dense, const MatrixSpec&,
                          const BuildContext&) {
-  return AnyMatrix::Wrap(DenseMatrix(dense));
-}
-
-AnyMatrix BuildCsrSpec(const DenseMatrix& dense, const MatrixSpec&,
-                       const BuildContext&) {
-  return AnyMatrix::Wrap(CsrMatrix::FromDense(dense));
-}
-
-AnyMatrix BuildCsrIvSpec(const DenseMatrix& dense, const MatrixSpec&,
-                         const BuildContext&) {
-  return AnyMatrix::Wrap(CsrIvMatrix::FromDense(dense));
-}
-
-AnyMatrix BuildCsrvSpec(const DenseMatrix& dense, const MatrixSpec&,
-                        const BuildContext&) {
-  return AnyMatrix::Wrap(CsrvMatrix::FromDense(dense));
+  if constexpr (std::is_same_v<M, DenseMatrix>) {
+    return AnyMatrix::Wrap(DenseMatrix(dense));
+  } else {
+    return AnyMatrix::Wrap(M::FromDense(dense));
+  }
 }
 
 GcBuildOptions GcOptionsFromSpec(const MatrixSpec& spec) {
@@ -272,20 +228,60 @@ GcBuildOptions GcOptionsFromSpec(const MatrixSpec& spec) {
   return options;
 }
 
+/// Wraps a single or blocked grammar matrix with a rule cache of
+/// `capacity` bytes. The cache is runtime configuration, not payload: a
+/// snapshot stores only the capacity inside its spec tag, and loads
+/// rebuild (and re-warm) the cache, so snapshot bytes stay cache-agnostic.
+template <typename M>
+AnyMatrix WrapWithRuleCache(M matrix, u64 capacity) {
+  matrix.ConfigureRuleCache(capacity);
+  return AnyMatrix::Wrap(std::move(matrix));
+}
+
 AnyMatrix BuildGcmSpec(const DenseMatrix& dense, const MatrixSpec& spec,
                        const BuildContext& ctx) {
   GcBuildOptions options = GcOptionsFromSpec(spec);
   std::size_t blocks = spec.GetSize("blocks", 1);
   u64 rule_cache = spec.GetBytes("rule_cache", 0);
   if (blocks > 1) {
-    BlockedGcMatrix blocked =
-        BlockedGcMatrix::Build(dense, blocks, options, {}, ctx);
-    blocked.ConfigureRuleCache(rule_cache);
-    return AnyMatrix::Wrap(std::move(blocked));
+    return WrapWithRuleCache(
+        BlockedGcMatrix::Build(dense, blocks, options, {}, ctx), rule_cache);
   }
-  GcMatrix gcm = GcMatrix::FromDense(dense, options);
-  gcm.ConfigureRuleCache(rule_cache);
-  return AnyMatrix::Wrap(std::move(gcm));
+  return WrapWithRuleCache(GcMatrix::FromDense(dense, options), rule_cache);
+}
+
+// Dense-free ingestion where the backend supports it (the paper's
+// matrices would not survive dense staging at full scale).
+
+AnyMatrix BuildCsrFromTriplets(std::size_t rows, std::size_t cols,
+                               std::vector<Triplet> entries, const MatrixSpec&,
+                               const BuildContext&) {
+  return AnyMatrix::Wrap(CsrFromTriplets(rows, cols, std::move(entries)));
+}
+
+AnyMatrix BuildCsrvFromTriplets(std::size_t rows, std::size_t cols,
+                                std::vector<Triplet> entries,
+                                const MatrixSpec&, const BuildContext&) {
+  return AnyMatrix::Wrap(CsrvFromTriplets(rows, cols, std::move(entries)));
+}
+
+AnyMatrix BuildGcmFromTriplets(std::size_t rows, std::size_t cols,
+                               std::vector<Triplet> entries,
+                               const MatrixSpec& spec,
+                               const BuildContext& ctx) {
+  GcBuildOptions options = GcOptionsFromSpec(spec);
+  std::size_t blocks = spec.GetSize("blocks", 1);
+  u64 rule_cache = spec.GetBytes("rule_cache", 0);
+  if (blocks > 1) {
+    return WrapWithRuleCache(
+        BlockedGcMatrix::FromCsrv(
+            CsrvFromTriplets(rows, cols, std::move(entries)), blocks,
+            options, ctx),
+        rule_cache);
+  }
+  return WrapWithRuleCache(
+      GcMatrix::FromTriplets(rows, cols, std::move(entries), options),
+      rule_cache);
 }
 
 AnyMatrix BuildClaSpec(const DenseMatrix& dense, const MatrixSpec& spec,
@@ -322,79 +318,41 @@ AnyMatrix BuildAutoSpec(const DenseMatrix& dense, const MatrixSpec& spec,
   return AdviseFormat(dense, constraints, nullptr, ctx);
 }
 
-AnyMatrix LoadDenseSnapshot(const SnapshotReader& in, const MatrixSpec&,
-                            const std::string&) {
-  return LoadPayloadSection<DenseMatrix>(in);
-}
-
-AnyMatrix LoadCsrSnapshot(const SnapshotReader& in, const MatrixSpec&,
-                          const std::string&) {
-  return LoadPayloadSection<CsrMatrix>(in);
-}
-
-AnyMatrix LoadCsrIvSnapshot(const SnapshotReader& in, const MatrixSpec&,
-                            const std::string&) {
-  return LoadPayloadSection<CsrIvMatrix>(in);
-}
-
-AnyMatrix LoadCsrvSnapshot(const SnapshotReader& in, const MatrixSpec&,
-                           const std::string&) {
-  return LoadPayloadSection<CsrvMatrix>(in);
-}
-
 AnyMatrix LoadGcmSnapshot(const SnapshotReader& in, const MatrixSpec& spec,
                           const std::string&) {
-  // The rule cache is runtime configuration, not payload: the snapshot
-  // stores only the capacity inside its spec tag, and the cache itself is
-  // rebuilt (re-warmed) here, so snapshot bytes stay cache-agnostic.
   u64 rule_cache = spec.GetBytes("rule_cache", 0);
   if (in.HasSection(PayloadSectionName<BlockedGcMatrix>())) {
-    BlockedGcMatrix blocked = LoadPayloadMatrix<BlockedGcMatrix>(in);
-    blocked.ConfigureRuleCache(rule_cache);
-    return AnyMatrix::Wrap(std::move(blocked));
+    return WrapWithRuleCache(LoadPayloadMatrix<BlockedGcMatrix>(in),
+                             rule_cache);
   }
-  GcMatrix gcm = LoadPayloadMatrix<GcMatrix>(in);
-  gcm.ConfigureRuleCache(rule_cache);
-  return AnyMatrix::Wrap(std::move(gcm));
+  return WrapWithRuleCache(LoadPayloadMatrix<GcMatrix>(in), rule_cache);
 }
 
-AnyMatrix LoadClaSnapshot(const SnapshotReader& in, const MatrixSpec&,
-                          const std::string&) {
-  return LoadPayloadSection<ClaMatrix>(in);
-}
+}  // namespace
 
-const std::vector<SpecFamily>& Registry() {
-  static const std::vector<SpecFamily> registry = {
-      {"dense", {}, {}, &BuildDenseSpec, &LoadDenseSnapshot},
-      {"csr", {}, {}, &BuildCsrSpec, &LoadCsrSnapshot},
-      {"csr_iv", {}, {}, &BuildCsrIvSpec, &LoadCsrIvSnapshot},
-      {"csrv", {}, {}, &BuildCsrvSpec, &LoadCsrvSnapshot},
-      {"gcm",
-       {"csrv", "re_32", "re_iv", "re_ans"},
-       {"blocks", "fold_bits", "max_rules", "rule_cache"},
-       &BuildGcmSpec,
-       &LoadGcmSnapshot},
-      {"cla",
-       {},
+const std::vector<SpecFamily>& CoreSpecFamilies() {
+  static const std::vector<SpecFamily> families = {
+      {"dense", {}, {}, &BuildPlainSpec<DenseMatrix>, nullptr,
+       &LoadPlainSnapshot<DenseMatrix>},
+      {"csr", {}, {}, &BuildPlainSpec<CsrMatrix>, &BuildCsrFromTriplets,
+       &LoadPlainSnapshot<CsrMatrix>},
+      {"csr_iv", {}, {}, &BuildPlainSpec<CsrIvMatrix>, nullptr,
+       &LoadPlainSnapshot<CsrIvMatrix>},
+      {"csrv", {}, {}, &BuildPlainSpec<CsrvMatrix>, &BuildCsrvFromTriplets,
+       &LoadPlainSnapshot<CsrvMatrix>},
+      {"gcm", {"csrv", "re_32", "re_iv", "re_ans"},
+       {"blocks", "fold_bits", "max_rules", "rule_cache"}, &BuildGcmSpec,
+       &BuildGcmFromTriplets, &LoadGcmSnapshot},
+      {"cla", {},
        {"co_code", "sample_rows", "max_group_size", "max_candidates"},
-       &BuildClaSpec,
-       &LoadClaSnapshot},
-      {"sharded",
-       {},
-       {"inner", "rows_per_shard", "shards", "target_bytes"},
-       &BuildShardedFromSpec,
-       &LoadShardedFromSnapshot},
-      {"cluster",
-       {},
-       {"inner", "manifest", "replicas", "rows_per_shard", "shards",
-        "workers"},
-       &BuildClusterFromSpec,
-       &LoadClusterFromSnapshot},
+       &BuildClaSpec, nullptr, &LoadPlainSnapshot<ClaMatrix>},
       {"auto", {}, {"budget", "blocks", "sample_rows", "probe"},
-       &BuildAutoSpec, nullptr},
+       &BuildAutoSpec, nullptr, nullptr},
   };
-  return registry;
+  return families;
 }
+
+namespace {
 
 std::string RegisteredSpecsSuffix() {
   std::ostringstream os;
@@ -408,7 +366,7 @@ std::string RegisteredSpecsSuffix() {
 /// every error lists the full registered-spec set.
 const SpecFamily& ValidateSpec(const MatrixSpec& spec) {
   const SpecFamily* family = nullptr;
-  for (const SpecFamily& candidate : Registry()) {
+  for (const SpecFamily& candidate : SpecFamilies()) {
     if (spec.family == candidate.name) {
       family = &candidate;
       break;
@@ -618,76 +576,27 @@ AnyMatrix AnyMatrix::Build(std::size_t rows, std::size_t cols,
 AnyMatrix AnyMatrix::Build(std::size_t rows, std::size_t cols,
                            std::vector<Triplet> entries,
                            const MatrixSpec& spec, const BuildContext& ctx) {
-  ValidateSpec(spec);
-  // Dense-free ingestion where the backend supports it (the paper's
-  // matrices would not survive dense staging at full scale).
-  if (spec.family == "csr") {
-    return Wrap(CsrFromTriplets(rows, cols, std::move(entries)));
+  const SpecFamily& family = ValidateSpec(spec);
+  if (family.build_from_triplets != nullptr) {
+    return family.build_from_triplets(rows, cols, std::move(entries), spec,
+                                      ctx);
   }
-  if (spec.family == "csrv") {
-    return Wrap(CsrvFromTriplets(rows, cols, std::move(entries)));
-  }
-  if (spec.family == "gcm") {
-    GcBuildOptions options = GcOptionsFromSpec(spec);
-    std::size_t blocks = spec.GetSize("blocks", 1);
-    u64 rule_cache = spec.GetBytes("rule_cache", 0);
-    if (blocks > 1) {
-      BlockedGcMatrix blocked = BlockedGcMatrix::FromCsrv(
-          CsrvFromTriplets(rows, cols, std::move(entries)), blocks, options,
-          ctx);
-      blocked.ConfigureRuleCache(rule_cache);
-      return Wrap(std::move(blocked));
-    }
-    GcMatrix gcm =
-        GcMatrix::FromTriplets(rows, cols, std::move(entries), options);
-    gcm.ConfigureRuleCache(rule_cache);
-    return Wrap(std::move(gcm));
-  }
-  if (spec.family == "sharded") {
-    // Buckets triplets per row range; each bucket reuses the inner spec's
-    // own (possibly dense-free) ingestion pipeline.
-    return BuildShardedFromTriplets(rows, cols, std::move(entries), spec,
-                                    ctx);
-  }
-  // Remaining backends compress from a dense staging copy (CsrFromTriplets
-  // also applies the triplet validation rules first).
-  return Build(CsrFromTriplets(rows, cols, std::move(entries)).ToDense(),
-               spec, ctx);
+  // Families without a dense-free pipeline compress from a dense staging
+  // copy (CsrFromTriplets also applies the triplet validation rules first).
+  return family.build(CsrFromTriplets(rows, cols, std::move(entries)).ToDense(),
+                      spec, ctx);
 }
 
-AnyMatrix AnyMatrix::Wrap(DenseMatrix matrix) {
-  return MakeOwned(std::move(matrix));
+AnyMatrix AnyMatrix::Adopt(EngineBackends::Pointer matrix,
+                           std::shared_ptr<const void> owner) {
+  return std::visit(
+      [&](const auto* m) {
+        using M = std::remove_cvref_t<decltype(*m)>;
+        return AnyMatrix(
+            std::make_shared<KernelAdapter<M>>(m, std::move(owner)));
+      },
+      matrix);
 }
-AnyMatrix AnyMatrix::Wrap(CsrMatrix matrix) {
-  return MakeOwned(std::move(matrix));
-}
-AnyMatrix AnyMatrix::Wrap(CsrIvMatrix matrix) {
-  return MakeOwned(std::move(matrix));
-}
-AnyMatrix AnyMatrix::Wrap(CsrvMatrix matrix) {
-  return MakeOwned(std::move(matrix));
-}
-AnyMatrix AnyMatrix::Wrap(GcMatrix matrix) {
-  return MakeOwned(std::move(matrix));
-}
-AnyMatrix AnyMatrix::Wrap(BlockedGcMatrix matrix) {
-  return MakeOwned(std::move(matrix));
-}
-AnyMatrix AnyMatrix::Wrap(ClaMatrix matrix) {
-  return MakeOwned(std::move(matrix));
-}
-
-AnyMatrix AnyMatrix::Ref(const DenseMatrix& matrix) { return MakeRef(matrix); }
-AnyMatrix AnyMatrix::Ref(const CsrMatrix& matrix) { return MakeRef(matrix); }
-AnyMatrix AnyMatrix::Ref(const CsrIvMatrix& matrix) {
-  return MakeRef(matrix);
-}
-AnyMatrix AnyMatrix::Ref(const CsrvMatrix& matrix) { return MakeRef(matrix); }
-AnyMatrix AnyMatrix::Ref(const GcMatrix& matrix) { return MakeRef(matrix); }
-AnyMatrix AnyMatrix::Ref(const BlockedGcMatrix& matrix) {
-  return MakeRef(matrix);
-}
-AnyMatrix AnyMatrix::Ref(const ClaMatrix& matrix) { return MakeRef(matrix); }
 
 // ---------------------------------------------------------------------------
 // Snapshot persistence
@@ -797,7 +706,7 @@ AnyMatrix AnyMatrix::Load(const std::string& path) {
 
 std::vector<std::string> AnyMatrix::ListSpecs() {
   std::vector<std::string> specs;
-  for (const SpecFamily& family : Registry()) {
+  for (const SpecFamily& family : SpecFamilies()) {
     if (family.variants.empty()) {
       specs.emplace_back(family.name);
       continue;

@@ -31,18 +31,14 @@
 //        &fold_bits=N &max_rules=N  rANS folding / RePair rule cap
 //    cla                            Compressed Linear Algebra baseline
 //        ?co_code=0|1 &sample_rows=N &max_group_size=N &max_candidates=N
-//    sharded                        scatter/gather over row-range shards
-//        ?inner=SPEC                (serving/sharded_matrix.hpp; the inner
-//        &rows_per_shard=N|shards=N|target_bytes=B   spec escapes '&' as '+')
-//    cluster                        multi-node scatter over loopback workers
-//        ?inner=SPEC &workers=W     (net/cluster/cluster_serving.hpp; a
-//        &shards=N &replicas=R      saved manifest connects to external
-//        &manifest=...              workers instead)
 //    auto                           format advisor (Section 4.2 mechanism)
 //        ?budget=64MiB &blocks=N &sample_rows=N
 //
-// Unknown families, variants or keys are rejected with an error listing
-// every registered spec (AnyMatrix::ListSpecs()).
+// The layers above core add scatter/gather families over these; core
+// reaches every family through the seam in core/spec_family.hpp, and
+// src/spec_families.cpp lists them all. Unknown families, variants or keys
+// are rejected with an error listing every registered spec
+// (AnyMatrix::ListSpecs()).
 //
 // All kernels are allocation-free: input and output are caller-provided
 // spans, and a uniform MulContext carries the execution resources, so the
@@ -54,6 +50,8 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/build_context.hpp"
@@ -73,6 +71,22 @@ class SnapshotReader;
 class SnapshotWriter;
 class ThreadPool;
 struct Triplet;
+
+/// The seven concrete backends, listed once: AnyMatrix::Wrap and
+/// AnyMatrix::Ref accept exactly these types.
+template <typename... Ms>
+struct BackendList {
+  template <typename M>
+  static constexpr bool kContains = (std::is_same_v<M, Ms> || ...);
+  /// A view of any one backend (what Wrap and Ref hand to the adapter).
+  using Pointer = std::variant<const Ms*...>;
+};
+using EngineBackends =
+    BackendList<DenseMatrix, CsrMatrix, CsrIvMatrix, CsrvMatrix, GcMatrix,
+                BlockedGcMatrix, ClaMatrix>;
+
+template <typename M>
+concept EngineBackend = EngineBackends::kContains<M>;
 
 /// Uniform execution context handed to every engine kernel. Backends that
 /// cannot exploit a field ignore it.
@@ -191,31 +205,22 @@ class AnyMatrix {
                          const BuildContext& ctx = {});
 
   /// Adopts an already-built backend (takes ownership by move).
-  static AnyMatrix Wrap(DenseMatrix matrix);
-  static AnyMatrix Wrap(CsrMatrix matrix);
-  static AnyMatrix Wrap(CsrIvMatrix matrix);
-  static AnyMatrix Wrap(CsrvMatrix matrix);
-  static AnyMatrix Wrap(GcMatrix matrix);
-  static AnyMatrix Wrap(BlockedGcMatrix matrix);
-  static AnyMatrix Wrap(ClaMatrix matrix);
+  template <EngineBackend M>
+  static AnyMatrix Wrap(M matrix) {
+    auto owned = std::make_shared<const M>(std::move(matrix));
+    const M* view = owned.get();
+    return Adopt(view, std::move(owned));
+  }
 
   /// Non-owning view of an existing backend; the caller keeps `matrix`
   /// alive for the lifetime of the returned AnyMatrix (and its copies).
   /// Temporaries are rejected at compile time -- pass those to Wrap.
-  static AnyMatrix Ref(const DenseMatrix& matrix);
-  static AnyMatrix Ref(const CsrMatrix& matrix);
-  static AnyMatrix Ref(const CsrIvMatrix& matrix);
-  static AnyMatrix Ref(const CsrvMatrix& matrix);
-  static AnyMatrix Ref(const GcMatrix& matrix);
-  static AnyMatrix Ref(const BlockedGcMatrix& matrix);
-  static AnyMatrix Ref(const ClaMatrix& matrix);
-  static AnyMatrix Ref(DenseMatrix&&) = delete;
-  static AnyMatrix Ref(CsrMatrix&&) = delete;
-  static AnyMatrix Ref(CsrIvMatrix&&) = delete;
-  static AnyMatrix Ref(CsrvMatrix&&) = delete;
-  static AnyMatrix Ref(GcMatrix&&) = delete;
-  static AnyMatrix Ref(BlockedGcMatrix&&) = delete;
-  static AnyMatrix Ref(ClaMatrix&&) = delete;
+  template <EngineBackend M>
+  static AnyMatrix Ref(const M& matrix) {
+    return Adopt(&matrix, nullptr);
+  }
+  template <EngineBackend M>
+  static AnyMatrix Ref(const M&&) = delete;
 
   /// Every registered spec, one canonical buildable string per backend
   /// variant (the list error messages and conformance tests iterate).
@@ -225,9 +230,9 @@ class AnyMatrix {
   /// backend's representation is written as-is -- a RePair grammar or rANS
   /// stream is never re-encoded, so Load skips the entire construction
   /// pipeline. Load dispatches on the stored spec tag through the same
-  /// registry as Build; unknown tags throw std::invalid_argument listing
-  /// every registered spec, corrupt payloads throw gcm::Error naming the
-  /// offending section.
+  /// spec families as Build; unknown tags throw std::invalid_argument
+  /// listing every registered spec, corrupt payloads throw gcm::Error
+  /// naming the offending section.
   void Save(const std::string& path) const;
   std::vector<u8> SaveSnapshotBytes() const;
   static AnyMatrix Load(const std::string& path);
@@ -282,6 +287,11 @@ class AnyMatrix {
   const IMatrixKernel& kernel() const;
 
  private:
+  /// Wraps `matrix` in its backend's kernel adapter; `owner` keeps it
+  /// alive (null for Ref).
+  static AnyMatrix Adopt(EngineBackends::Pointer matrix,
+                         std::shared_ptr<const void> owner);
+
   std::shared_ptr<const IMatrixKernel> kernel_;
 };
 

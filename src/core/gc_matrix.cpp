@@ -105,7 +105,7 @@ GcMatrix GcMatrix::FromSequence(std::vector<u32> sequence, std::size_t rows,
       break;
     }
     case GcFormat::kCsrv:
-      GCM_ASSERT(false);
+      GCM_DCHECK_MSG(false, "kCsrv matrices return before RePair runs");
       break;
   }
   return m;
@@ -208,7 +208,7 @@ U32Divisor ColsDivisor(std::size_t cols) {
 }  // namespace
 
 u32 GcMatrix::FinalSymbolAt(std::size_t i) const {
-  GCM_ASSERT(format_ != GcFormat::kReAns);
+  GCM_DCHECK(format_ != GcFormat::kReAns);
   return format_ == GcFormat::kReIv ? static_cast<u32>(c_packed_.Get(i))
                                     : c_plain_[i];
 }
@@ -371,7 +371,7 @@ void GcMatrix::ParallelRightScan(std::span<const double> x,
   }
   // Every row is sentinel-terminated, so the final carry is the (empty)
   // partial after the last sentinel.
-  GCM_ASSERT(carry == 0.0);
+  GCM_DCHECK(carry == 0.0);
 }
 
 void GcMatrix::MultiplyLeftInto(std::span<const double> y,

@@ -4,6 +4,7 @@
 
 #include <bit>
 
+#include "util/check.hpp"
 #include "util/common.hpp"
 
 namespace gcm {
@@ -17,7 +18,7 @@ inline u32 BitWidth(u64 value) {
 
 /// floor(log2(value)) for value > 0.
 inline u32 FloorLog2(u64 value) {
-  GCM_ASSERT(value > 0);
+  GCM_DCHECK(value > 0);
   return static_cast<u32>(std::bit_width(value)) - 1;
 }
 
@@ -28,7 +29,7 @@ inline u64 LowMask(u32 bits) {
 
 /// Ceiling division for positive integers.
 inline u64 CeilDiv(u64 a, u64 b) {
-  GCM_ASSERT(b > 0);
+  GCM_DCHECK(b > 0);
   return (a + b - 1) / b;
 }
 

@@ -48,7 +48,7 @@ std::vector<u16> NormalizeFreqs(const std::vector<u64>& counts, u64 total) {
     if (counts[s] == 0) continue;
     u64 scaled = counts[s] * kScale / total;
     if (scaled == 0) scaled = 1;
-    GCM_ASSERT(scaled <= 0xffff);
+    GCM_DCHECK(scaled <= 0xffff);
     freqs[s] = static_cast<u16>(scaled);
     assigned += scaled;
     if (counts[s] > counts[max_slot] || freqs[max_slot] == 0) max_slot = s;

@@ -19,11 +19,12 @@
 //
 // The spec string is the AnyMatrix FormatTag of the stored backend; the
 // engine parses it with MatrixSpec::Parse and dispatches deserialization
-// through the same registry that builds matrices from spec strings. Each
-// section carries its own length, so a reader can locate (and bounds-check)
-// any section without understanding the others, and corruption errors can
-// name the section they hit. The trailing state of the checksum guards the
-// whole file: readers verify it before looking at any section.
+// through the same spec families that build matrices from spec strings
+// (core/spec_family.hpp). Each section carries its own length, so a
+// reader can locate (and bounds-check) any section without understanding
+// the others, and corruption errors can name the section they hit. The
+// trailing state of the checksum guards the whole file: readers verify it
+// before looking at any section.
 //
 // v2 (zero-copy layout): each section declares its payload alignment
 // (payload sections use 64, small metadata sections 8) and the writer pads

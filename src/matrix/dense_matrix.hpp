@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "util/array_ref.hpp"
+#include "util/check.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 
@@ -36,11 +37,13 @@ class DenseMatrix {
   std::size_t cols() const { return cols_; }
 
   double At(std::size_t r, std::size_t c) const {
-    GCM_ASSERT(r < rows_ && c < cols_);
+    GCM_DCHECK_BOUNDS(r, rows_);
+    GCM_DCHECK_BOUNDS(c, cols_);
     return data_[r * cols_ + c];
   }
   void Set(std::size_t r, std::size_t c, double v) {
-    GCM_ASSERT(r < rows_ && c < cols_);
+    GCM_DCHECK_BOUNDS(r, rows_);
+    GCM_DCHECK_BOUNDS(c, cols_);
     data_.EnsureOwned()[r * cols_ + c] = v;
   }
 

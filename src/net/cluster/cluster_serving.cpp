@@ -94,22 +94,10 @@ AnyMatrix ConnectCluster(ClusterManifest manifest, ClusterConfig config) {
 }
 
 // ---------------------------------------------------------------------------
-// Spec-registry hooks
+// The "cluster" spec family
 // ---------------------------------------------------------------------------
 
-MatrixSpec InnerSpecFromCluster(const MatrixSpec& spec) {
-  auto it = spec.params.find("inner");
-  std::string inner_text =
-      it == spec.params.end() ? std::string("csr") : DecodeInnerSpec(it->second);
-  MatrixSpec inner = MatrixSpec::Parse(inner_text);
-  if (inner.family == "sharded" || inner.family == "cluster") {
-    throw std::invalid_argument(
-        "cluster inner spec \"" + inner_text +
-        "\" must be a plain backend (sharding is implied by the cluster, "
-        "and clusters cannot nest)");
-  }
-  return inner;
-}
+namespace {
 
 AnyMatrix BuildClusterFromSpec(const DenseMatrix& dense,
                                const MatrixSpec& spec,
@@ -120,7 +108,7 @@ AnyMatrix BuildClusterFromSpec(const DenseMatrix& dense,
         "by loading the saved manifest (AnyMatrix::Load) instead of "
         "building from data");
   }
-  MatrixSpec inner = InnerSpecFromCluster(spec);
+  MatrixSpec inner = InnerSpecFromSharded(spec);
   std::size_t workers = spec.GetSize("workers", 2);
   std::size_t replicas = spec.GetSize("replicas", 1);
   if (workers == 0) {
@@ -174,13 +162,25 @@ AnyMatrix LoadClusterFromSnapshot(const SnapshotReader& in,
   if (auto it = spec.params.find("inner"); it != spec.params.end()) {
     sharded.params["inner"] = it->second;
   }
-  AnyMatrix local = LoadShardedFromSnapshot(in, sharded, origin_path);
+  AnyMatrix local = ShardedSpecFamily().load(in, sharded, origin_path);
 
   LoopbackClusterOptions options;
   options.workers = spec.GetSize("workers", 2);
   options.replicas = spec.GetSize("replicas", 1);
   options.format_tag = spec.ToString();
   return AnyMatrix(LoopbackCluster::Start(std::move(local), std::move(options)));
+}
+
+}  // namespace
+
+SpecFamily ClusterSpecFamily() {
+  return {"cluster",
+          {},
+          {"inner", "manifest", "replicas", "rows_per_shard", "shards",
+           "workers"},
+          &BuildClusterFromSpec,
+          nullptr,
+          &LoadClusterFromSnapshot};
 }
 
 }  // namespace gcm

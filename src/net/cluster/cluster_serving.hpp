@@ -9,7 +9,7 @@
 //     connect a RemoteShardedMatrix across them. The result is an
 //     IMatrixKernel whose multiplies really scatter over TCP while
 //     ToDense / persistence / stats delegate to the local matrix -- which
-//     is what lets "cluster?..." participate in the ordinary spec registry
+//     is what lets "cluster?..." participate in the ordinary spec families
 //     (AnyMatrix::Build, snapshots, the conformance suite) with no test
 //     infrastructure knowing about sockets.
 //
@@ -17,7 +17,8 @@
 //     deployment -- workers are someone else's processes (model_server
 //     --worker); the returned matrix is the bare RemoteShardedMatrix.
 //
-//   * The spec registry (core/any_matrix.cpp):
+//   * The "cluster" spec family (ClusterSpecFamily, listed with the
+//     others in src/spec_families.cpp):
 //       Build  "cluster?inner=SPEC&shards=N&workers=W&replicas=R"
 //              builds the sharded matrix locally, then LoopbackCluster.
 //       Load   a LoopbackCluster snapshot (embedded sharded sections)
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "core/any_matrix.hpp"
+#include "core/spec_family.hpp"
 #include "net/cluster/remote_sharded_matrix.hpp"
 #include "net/server.hpp"
 
@@ -47,7 +49,7 @@ struct LoopbackClusterOptions {
   ServerConfig server{};
   /// Coordinator-side knobs (deadline, retry budget, backoff).
   ClusterConfig cluster{};
-  /// FormatTag() of the resulting kernel. The registry build path passes
+  /// FormatTag() of the resulting kernel. The spec family's build passes
   /// the canonical "cluster?..." spec string so snapshots round-trip;
   /// empty falls back to the derived manifest's tag.
   std::string format_tag{};
@@ -117,26 +119,13 @@ class LoopbackCluster final : public IMatrixKernel {
 /// coordinator kernel as an engine matrix.
 AnyMatrix ConnectCluster(ClusterManifest manifest, ClusterConfig config = {});
 
-// ---- Spec-registry hooks (called from core/any_matrix.cpp).
-
-/// Extracts and validates the inner spec of a "cluster" spec (default
-/// "csr"); rejects sharded and cluster inners with std::invalid_argument.
-MatrixSpec InnerSpecFromCluster(const MatrixSpec& spec);
-
-/// Builds the local sharded matrix per the spec (shards defaults to
-/// `workers`, one shard per worker) and self-hosts it as a loopback
-/// cluster. The "manifest" key is rejected here: an external cluster is
-/// connected, not built -- load its saved manifest instead.
-AnyMatrix BuildClusterFromSpec(const DenseMatrix& dense,
-                               const MatrixSpec& spec,
-                               const BuildContext& ctx);
-
-/// Restores a cluster from a snapshot: a saved ClusterManifest (section
-/// "cluster") connects to the external workers it names; a loopback
-/// cluster snapshot (embedded sharded sections) reloads the shards and
-/// re-serves them on fresh loopback workers.
-AnyMatrix LoadClusterFromSnapshot(const SnapshotReader& in,
-                                  const MatrixSpec& spec,
-                                  const std::string& origin_path);
+/// The "cluster" spec family (core/spec_family.hpp). Build makes the
+/// local sharded matrix (shards defaults to `workers`, one shard per
+/// worker) and self-hosts it as a loopback cluster; the "manifest" key is
+/// rejected there, since an external cluster is connected, not built.
+/// Load connects a saved ClusterManifest (section "cluster") to the
+/// external workers it names, or reloads a loopback cluster snapshot's
+/// embedded shards and re-serves them on fresh loopback workers.
+SpecFamily ClusterSpecFamily();
 
 }  // namespace gcm

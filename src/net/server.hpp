@@ -24,8 +24,9 @@
 // request reaching the head flushes the batch immediately, so coalescing
 // never delays unrelated work behind it.
 //
-// Residency: when the matrix is sharded and max_resident_shards is set,
-// the dispatcher evicts least-recently-used shards back under the limit
+// Residency: when the matrix is sharded and max_resident_bytes is set, the
+// dispatcher evicts least-recently-used shards until the page-granular
+// resident footprint (ShardedMatrix::EvictToResidentBytes) fits the budget
 // after every batch, so a row-range workload over a big store serves from
 // a bounded working set (range requests only fault in overlapping shards).
 #pragma once
@@ -64,9 +65,10 @@ struct ServerConfig {
   /// 0 = hardware concurrency (util/thread_pool.hpp policy).
   std::size_t kernel_threads = 1;
 
-  /// When > 0 and the matrix is sharded: evict LRU shards down to this
-  /// many after every batch (0 = never evict).
-  std::size_t max_resident_shards = 0;
+  /// When > 0 and the matrix is sharded: evict LRU shards until at most
+  /// this many payload bytes stay resident, after every batch (0 = never
+  /// evict).
+  u64 max_resident_bytes = 0;
 };
 
 /// Monotonic serving counters (a consistent snapshot via stats()).

@@ -67,7 +67,7 @@ std::vector<u32> PathsToOrder(const ColumnSimilarityMatrix& csm,
   for (const Path& path : paths) {
     order.insert(order.end(), path.nodes.begin(), path.nodes.end());
   }
-  GCM_ASSERT(order.size() == m);  // cycles are impossible by construction
+  GCM_DCHECK(order.size() == m);  // cycles are impossible by construction
   return order;
 }
 

@@ -6,7 +6,6 @@
 #include <functional>
 #include <optional>
 #include <regex>
-#include <stdexcept>
 #include <utility>
 
 #include "encoding/snapshot.hpp"
@@ -117,16 +116,6 @@ ShardManifest WriteStore(
     }
   }
   return manifest;
-}
-
-MatrixSpec ParseInnerSpec(const std::string& inner_spec) {
-  MatrixSpec inner = MatrixSpec::Parse(inner_spec);
-  if (inner.family == "sharded") {
-    throw std::invalid_argument(
-        "MatrixStore::Partition inner spec \"" + inner_spec +
-        "\" is itself sharded; shards hold concrete backends");
-  }
-  return inner;
 }
 
 }  // namespace

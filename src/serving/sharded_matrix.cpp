@@ -229,32 +229,6 @@ bool ShardedMatrix::EvictShard(std::size_t index) const {
   return true;
 }
 
-std::size_t ShardedMatrix::EvictToResidencyLimit(
-    std::size_t max_resident) const {
-  // Snapshot (index, last_touch) of every resident shard, then evict the
-  // least recently touched file-backed ones. Concurrent touches can race
-  // the snapshot; the limit is a serving-loop hint, not an invariant.
-  std::vector<std::pair<u64, std::size_t>> resident;
-  std::size_t pinned = 0;  // in-memory shards cannot be evicted
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    std::lock_guard<std::mutex> lock(states_[i]->mu);
-    if (!states_[i]->resident.valid()) continue;
-    if (states_[i]->file_backed) {
-      resident.emplace_back(states_[i]->last_touch, i);
-    } else {
-      ++pinned;
-    }
-  }
-  std::sort(resident.begin(), resident.end());
-  std::size_t evicted = 0;
-  std::size_t total = resident.size() + pinned;
-  for (const auto& [touch, index] : resident) {
-    if (total - evicted <= max_resident) break;
-    if (EvictShard(index)) ++evicted;
-  }
-  return evicted;
-}
-
 u64 ShardedMatrix::ResidentBytesLocked(const ShardState& shard) const {
   if (!shard.resident.valid()) return 0;
   // A mapped shard holds exactly the pages the OS has faulted in; a
@@ -286,11 +260,12 @@ u64 ShardedMatrix::ResidentPayloadBytes() const {
 }
 
 std::size_t ShardedMatrix::EvictToResidentBytes(u64 max_bytes) const {
-  // Same LRU walk as EvictToResidencyLimit, but the budget is the
-  // page-granular footprint: each shard is charged what it actually holds
-  // (mincore over its mapping, or its owned copy). Pinned in-memory
-  // shards keep counting against the budget, so a limit below the pinned
-  // footprint evicts every file-backed shard.
+  // Snapshot (last_touch, index) of every resident shard, then evict the
+  // least recently touched file-backed ones until the page-granular
+  // footprint fits: each shard is charged what it actually holds (mincore
+  // over its mapping, or its owned copy). Pinned in-memory shards keep
+  // counting against the budget, so a limit below the pinned footprint
+  // evicts every file-backed shard.
   std::vector<std::pair<u64, std::size_t>> resident;  // (last_touch, index)
   u64 total = 0;
   for (std::size_t i = 0; i < states_.size(); ++i) {
@@ -674,40 +649,31 @@ void ShardedMatrix::SaveSections(SnapshotWriter* out) const {
 }
 
 // ---------------------------------------------------------------------------
-// Spec-registry hooks
+// The "sharded" spec family
 // ---------------------------------------------------------------------------
 
-MatrixSpec InnerSpecFromSharded(const MatrixSpec& spec) {
-  auto it = spec.params.find("inner");
-  std::string inner_text =
-      it == spec.params.end() ? std::string("csr") : DecodeInnerSpec(it->second);
-  MatrixSpec inner = MatrixSpec::Parse(inner_text);
-  if (inner.family == "sharded" || inner.family == "cluster") {
+MatrixSpec ParseInnerSpec(const std::string& inner_spec) {
+  MatrixSpec inner = MatrixSpec::Parse(inner_spec);
+  const std::vector<SpecFamily>& core = CoreSpecFamilies();
+  if (std::none_of(core.begin(), core.end(), [&](const SpecFamily& family) {
+        return family.name == inner.family;
+      })) {
+    std::string names;
+    for (const SpecFamily& family : core) {
+      names += ' ' + std::string(family.name);
+    }
     throw std::invalid_argument(
-        "sharded specs cannot nest: inner spec \"" + inner_text +
-        "\" is itself a scatter/gather family");
+        "inner spec \"" + inner_spec +
+        "\" must name a core backend family (scatter/gather families do not "
+        "nest); core families:" + names);
   }
   return inner;
 }
 
-AnyMatrix BuildShardedFromSpec(const DenseMatrix& dense,
-                               const MatrixSpec& spec,
-                               const BuildContext& ctx) {
-  MatrixSpec inner = InnerSpecFromSharded(spec);
-  std::size_t per_shard = ShardingPolicy::FromSpec(spec).ResolveRowsPerShard(
-      dense.rows(), dense.cols());
-  std::size_t shard_count = (dense.rows() + per_shard - 1) / per_shard;
-  // Shards are independent builds over disjoint row slices; run them on
-  // the pool, forwarding ctx so a blocked inner spec can fan out too
-  // (ParallelFor is nesting-safe). Each task writes only its own slot, so
-  // the assembled matrix is identical to the sequential build.
-  std::vector<AnyMatrix> shards(shard_count);
-  MaybeParallelFor(ctx.pool, shard_count, [&](std::size_t i) {
-    std::size_t begin = i * per_shard;
-    std::size_t end = std::min(dense.rows(), begin + per_shard);
-    shards[i] = AnyMatrix::Build(dense.RowSlice(begin, end), inner, ctx);
-  });
-  return AnyMatrix(ShardedMatrix::FromShards(dense.cols(), std::move(shards)));
+MatrixSpec InnerSpecFromSharded(const MatrixSpec& spec) {
+  auto it = spec.params.find("inner");
+  return ParseInnerSpec(it == spec.params.end() ? std::string("csr")
+                                                : DecodeInnerSpec(it->second));
 }
 
 std::vector<std::vector<Triplet>> BucketTripletsByShard(
@@ -735,6 +701,33 @@ std::vector<std::vector<Triplet>> BucketTripletsByShard(
   return buckets;
 }
 
+namespace {
+
+/// Builds an in-memory sharded matrix per the spec's inner spec and
+/// sharding policy (row slices of `dense`).
+AnyMatrix BuildShardedFromSpec(const DenseMatrix& dense,
+                               const MatrixSpec& spec,
+                               const BuildContext& ctx) {
+  MatrixSpec inner = InnerSpecFromSharded(spec);
+  std::size_t per_shard = ShardingPolicy::FromSpec(spec).ResolveRowsPerShard(
+      dense.rows(), dense.cols());
+  std::size_t shard_count = (dense.rows() + per_shard - 1) / per_shard;
+  // Shards are independent builds over disjoint row slices; run them on
+  // the pool, forwarding ctx so a blocked inner spec can fan out too
+  // (ParallelFor is nesting-safe). Each task writes only its own slot, so
+  // the assembled matrix is identical to the sequential build.
+  std::vector<AnyMatrix> shards(shard_count);
+  MaybeParallelFor(ctx.pool, shard_count, [&](std::size_t i) {
+    std::size_t begin = i * per_shard;
+    std::size_t end = std::min(dense.rows(), begin + per_shard);
+    shards[i] = AnyMatrix::Build(dense.RowSlice(begin, end), inner, ctx);
+  });
+  return AnyMatrix(ShardedMatrix::FromShards(dense.cols(), std::move(shards)));
+}
+
+/// Dense-free ingestion: triplets are bucketed by row range and each
+/// bucket feeds the inner spec's own triplet pipeline (shard-parallel on
+/// the BuildContext pool, like BuildShardedFromSpec).
 AnyMatrix BuildShardedFromTriplets(std::size_t rows, std::size_t cols,
                                    std::vector<Triplet> entries,
                                    const MatrixSpec& spec,
@@ -757,6 +750,10 @@ AnyMatrix BuildShardedFromTriplets(std::size_t rows, std::size_t cols,
   return AnyMatrix(ShardedMatrix::FromShards(cols, std::move(shards)));
 }
 
+/// Restores a sharded matrix from a snapshot: the single-file form loads
+/// its embedded shard sections; a store manifest resolves shard files
+/// relative to `origin_path` (empty origin -> gcm::Error, the bytes alone
+/// cannot locate sibling files) and opens them lazily.
 AnyMatrix LoadShardedFromSnapshot(const SnapshotReader& in,
                                   const MatrixSpec& spec,
                                   const std::string& origin_path) {
@@ -803,6 +800,17 @@ AnyMatrix LoadShardedFromSnapshot(const SnapshotReader& in,
   std::string dir = std::filesystem::path(origin_path).parent_path().string();
   return AnyMatrix(ShardedMatrix::FromManifest(std::move(manifest), dir,
                                                ShardLoadMode::kLazy));
+}
+
+}  // namespace
+
+SpecFamily ShardedSpecFamily() {
+  return {"sharded",
+          {},
+          {"inner", "rows_per_shard", "shards", "target_bytes"},
+          &BuildShardedFromSpec,
+          &BuildShardedFromTriplets,
+          &LoadShardedFromSnapshot};
 }
 
 }  // namespace gcm

@@ -21,15 +21,16 @@
 //
 // Residency: shards backed by files load lazily (read on first touch,
 // checksum-verified against the manifest) or eagerly at open, and can be
-// evicted (EvictShard / EvictToResidencyLimit) for memory-bounded serving;
-// a later touch transparently reloads. In-memory shards (built via the
+// evicted one at a time (EvictShard) or least recently touched first down
+// to a byte budget (EvictToResidentBytes) for memory-bounded serving; a
+// later touch transparently reloads. In-memory shards (built via the
 // "sharded" spec family) are always resident. All residency operations are
 // const and thread-safe -- callers reach them through the engine with
 //
 //    auto* sharded = ShardedMatrix::FromKernel(m.kernel());
 //
 // Spec grammar:  sharded?inner=SPEC&rows_per_shard=N|shards=N|target_bytes=B
-// where SPEC is any non-sharded engine spec with '&' written as '+'
+// where SPEC is any core engine spec with '&' written as '+'
 // (EncodeInnerSpec), e.g. "sharded?inner=gcm:re_ans?blocks=2&shards=8".
 // Snapshots round-trip through AnyMatrix::Save/Load: the single-file form
 // embeds a "manifest" section plus one "shard_<i>" section per shard; a
@@ -46,6 +47,7 @@
 #include <vector>
 
 #include "core/any_matrix.hpp"
+#include "core/spec_family.hpp"
 #include "serving/shard_manifest.hpp"
 #include "util/common.hpp"
 
@@ -125,10 +127,6 @@ class ShardedMatrix final : public IMatrixKernel {
   /// Returns false for in-memory shards and shards that are not resident.
   bool EvictShard(std::size_t index) const;
 
-  /// Evicts least-recently-touched file-backed shards until at most
-  /// `max_resident` shards remain resident. Returns the number evicted.
-  std::size_t EvictToResidencyLimit(std::size_t max_resident) const;
-
   /// Page-granular residency snapshot of one shard (`model_server --stats`
   /// and byte-bounded eviction read these).
   struct ShardResidency {
@@ -148,8 +146,8 @@ class ShardedMatrix final : public IMatrixKernel {
   /// Evicts least-recently-touched file-backed shards until the
   /// page-granular resident footprint is at most `max_bytes`. In-memory
   /// shards are pinned and keep counting toward the footprint. Returns the
-  /// number evicted; like EvictToResidencyLimit, a serving-loop hint that
-  /// concurrent touches may race, not an invariant.
+  /// number evicted; a serving-loop hint that concurrent touches may race,
+  /// not an invariant.
   std::size_t EvictToResidentBytes(u64 max_bytes) const;
 
   // ---- IMatrixKernel.
@@ -265,35 +263,18 @@ class ShardedMatrix final : public IMatrixKernel {
 std::vector<std::vector<Triplet>> BucketTripletsByShard(
     std::size_t rows, std::size_t per_shard, std::vector<Triplet> entries);
 
-// ---- Spec-registry hooks (called from core/any_matrix.cpp).
+/// The "sharded" spec family (core/spec_family.hpp): builds in memory
+/// from dense data or triplets, loads single-file snapshots and store
+/// manifests.
+SpecFamily ShardedSpecFamily();
 
-/// Extracts and validates the inner spec of a "sharded" spec (default
-/// "csr"); rejects nested sharding with std::invalid_argument.
+/// Parses the spec a scatter/gather layout puts in each shard (a sharded
+/// spec's "inner" key, a MatrixStore shard spec). Only core families
+/// nest; anything else throws std::invalid_argument.
+MatrixSpec ParseInnerSpec(const std::string& inner_spec);
+
+/// The decoded "inner" key (default "csr") of a sharded spec or of a
+/// family layered on it, checked by ParseInnerSpec.
 MatrixSpec InnerSpecFromSharded(const MatrixSpec& spec);
-
-/// Builds an in-memory sharded matrix per the spec's inner spec and
-/// sharding policy (row slices of `dense`). Shard builds are independent,
-/// so a BuildContext pool runs them concurrently; the context is also
-/// forwarded into each inner build (nested fan-out is safe and the result
-/// is identical either way).
-AnyMatrix BuildShardedFromSpec(const DenseMatrix& dense,
-                               const MatrixSpec& spec,
-                               const BuildContext& ctx);
-
-/// Dense-free ingestion: triplets are bucketed by row range and each
-/// bucket feeds the inner spec's own triplet pipeline (shard-parallel on
-/// the BuildContext pool, like BuildShardedFromSpec).
-AnyMatrix BuildShardedFromTriplets(std::size_t rows, std::size_t cols,
-                                   std::vector<Triplet> entries,
-                                   const MatrixSpec& spec,
-                                   const BuildContext& ctx);
-
-/// Restores a sharded matrix from a snapshot: the single-file form loads
-/// its embedded shard sections; a store manifest resolves shard files
-/// relative to `origin_path` (empty origin -> gcm::Error, the bytes alone
-/// cannot locate sibling files) and opens them lazily.
-AnyMatrix LoadShardedFromSnapshot(const SnapshotReader& in,
-                                  const MatrixSpec& spec,
-                                  const std::string& origin_path);
 
 }  // namespace gcm

@@ -1,18 +1,17 @@
 // Debug invariant layer: GCM_DCHECK and friends.
 //
-// Three tiers of checking now exist in the library:
+// Two tiers of checking exist in the library:
 //
 //   * GCM_CHECK  (util/common.hpp) -- user-facing validation (bad files,
 //     overflow, API misuse). Always active, throws gcm::Error. The cost is
 //     paid on cold paths only (parsers, constructors, public entry points).
-//   * GCM_DCHECK (this header) -- internal invariants on HOT paths (kernel
-//     inner loops, cursor arithmetic, claim accounting). Compiled out
-//     entirely in plain Release builds; in Debug and sanitizer builds a
-//     violation is FATAL: it prints the expression, file:line and a message
-//     to stderr and aborts, so a sanitizer run produces a report + core
-//     instead of unwinding past the broken invariant.
-//   * GCM_ASSERT (util/common.hpp) -- legacy debug assert that throws;
-//     retained for cold-path internal checks where unwinding is safe.
+//   * GCM_DCHECK (this header) -- internal invariants and hot-path
+//     preconditions (kernel inner loops, element access, cursor
+//     arithmetic, claim accounting). Compiled out entirely in plain
+//     Release builds; in Debug and sanitizer builds a violation is FATAL:
+//     it prints the expression, file:line and a message to stderr and
+//     aborts, so a sanitizer run produces a report + core instead of
+//     unwinding past the broken invariant.
 //
 // GCM_DCHECK deliberately aborts instead of throwing: once an internal
 // invariant is broken the object's state is unreliable, and stack unwinding

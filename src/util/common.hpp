@@ -1,9 +1,7 @@
-// Common assertion / error-handling primitives shared by every module.
-//
-// Two classes of checks:
-//   * GCM_ASSERT  -- internal invariants; compiled out in NDEBUG builds.
-//   * GCM_CHECK   -- user-facing validation (bad files, overflow, misuse);
-//                    always active, throws gcm::Error with a message.
+// Common error-handling primitives shared by every module: gcm::Error and
+// GCM_CHECK, the always-active validation of user-facing input (bad files,
+// overflow, API misuse) that throws gcm::Error with a message. Internal
+// invariants use GCM_DCHECK (util/check.hpp) instead.
 #pragma once
 
 // The library hard-requires C++20: std::bit_width in encoding/bit_ops.hpp,
@@ -54,17 +52,6 @@ namespace detail {
       ::gcm::detail::ThrowCheckFailure(#expr, __FILE__, __LINE__, os_.str()); \
     }                                                                        \
   } while (0)
-
-#ifdef NDEBUG
-#define GCM_ASSERT(expr) ((void)0)
-#else
-#define GCM_ASSERT(expr)                                                     \
-  do {                                                                       \
-    if (!(expr))                                                             \
-      ::gcm::detail::ThrowCheckFailure(#expr, __FILE__, __LINE__,            \
-                                       "internal invariant");                \
-  } while (0)
-#endif
 
 using u8 = std::uint8_t;
 using u16 = std::uint16_t;

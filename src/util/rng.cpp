@@ -12,8 +12,9 @@ double Rng::NextGaussian() {
 }
 
 u64 Rng::SkewedBelow(u64 n, double decay) {
-  GCM_ASSERT(n > 0);
-  GCM_ASSERT(decay > 0.0 && decay < 1.0);
+  GCM_CHECK_MSG(n > 0, "SkewedBelow needs a nonempty range");
+  GCM_CHECK_MSG(decay > 0.0 && decay < 1.0,
+                "SkewedBelow decay " << decay << " outside (0, 1)");
   // Draw from a truncated geometric distribution: P(k) ~ decay^k.
   // Inverse-CDF sampling: k = floor(log(1 - u*(1-decay^n)) / log(decay)).
   double u = NextDouble();

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "util/check.hpp"
 #include "util/common.hpp"
 
 namespace gcm {
@@ -45,7 +46,7 @@ class Rng {
 
   /// Uniform integer in [0, bound). bound must be > 0.
   u64 Below(u64 bound) {
-    GCM_ASSERT(bound > 0);
+    GCM_DCHECK(bound > 0);
     // Multiply-shift rejection-free mapping (Lemire); bias is negligible for
     // the bounds used in this project (< 2^40) but we keep a rejection loop
     // for exactness.
@@ -58,7 +59,7 @@ class Rng {
 
   /// Uniform integer in [lo, hi] inclusive.
   i64 Range(i64 lo, i64 hi) {
-    GCM_ASSERT(lo <= hi);
+    GCM_DCHECK(lo <= hi);
     return lo + static_cast<i64>(Below(static_cast<u64>(hi - lo) + 1));
   }
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/cla/cla_matrix.hpp"
@@ -344,6 +345,22 @@ TEST(NameRoundTripTest, ClaEncodingNamesAreTotal) {
 // --------------------------------------------------------------------------
 // Wrap / Ref / triplet ingestion / advisor overload
 // --------------------------------------------------------------------------
+
+// Wrap and Ref are one template each over the backend list: a
+// non-backend type does not compile, and neither does a view of a
+// temporary (Ref of an rvalue is deleted).
+template <typename M>
+concept Wrappable = requires(M m) { AnyMatrix::Wrap(std::move(m)); };
+template <typename M>
+concept RefOfLvalue = requires(const M& m) { AnyMatrix::Ref(m); };
+template <typename M>
+concept RefOfTemporary = requires { AnyMatrix::Ref(std::declval<M>()); };
+
+static_assert(Wrappable<GcMatrix> && Wrappable<ClaMatrix>);
+static_assert(!Wrappable<int> && !Wrappable<std::vector<double>>);
+static_assert(!Wrappable<AnyMatrix>);
+static_assert(RefOfLvalue<DenseMatrix> && RefOfLvalue<BlockedGcMatrix>);
+static_assert(!RefOfTemporary<DenseMatrix> && !RefOfTemporary<CsrvMatrix>);
 
 TEST(AnyMatrixTest, WrapAndRefAgree) {
   DenseMatrix dense = TestMatrix();

@@ -158,8 +158,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("v1_dense_24x10.gcsnap", "v1_csr_24x10.gcsnap",
                       "v1_csr_iv_24x10.gcsnap", "v1_csrv_24x10.gcsnap",
                       "v1_gcm_re_ans_b2_24x10.gcsnap"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      std::string name = info.param;
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      std::string name = param_info.param;
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -461,11 +462,20 @@ TEST(NetServerTest, ResidencyLimitBoundsTheWorkingSet) {
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
   const ShardedMatrix* sharded = ShardedMatrix::FromKernel(m.kernel());
   ASSERT_NE(sharded, nullptr);
-
-  TestServer ts(m, ServerConfig{.batching = false, .max_resident_shards = 2});
-  Client client = ts.Connect();
   std::vector<double> x = RandomVector(m.cols(), 95);
-  std::vector<double> local = m.MultiplyRight(x);
+  std::vector<double> local = m.MultiplyRight(x);  // loads all six shards
+  // A budget of twice the smallest shard's footprint holds at most two
+  // shards.
+  u64 smallest = ~u64{0};
+  for (std::size_t i = 0; i < sharded->shard_count(); ++i) {
+    smallest =
+        std::min(smallest, sharded->ShardResidencyInfo(i).resident_bytes);
+  }
+  ASSERT_GT(smallest, 0u);
+
+  TestServer ts(m, ServerConfig{.batching = false,
+                                .max_resident_bytes = 2 * smallest});
+  Client client = ts.Connect();
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(client.MvmRight(x), local);  // touches all six shards
     std::vector<double> slice = client.MvmRight(x, 5, 15);

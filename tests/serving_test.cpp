@@ -228,7 +228,7 @@ TEST(MatrixStoreTest, EagerOpenLoadsEverything) {
   EXPECT_EQ(Sharded(m).LoadedShardCount(), 3u);
 }
 
-TEST(MatrixStoreTest, EvictToResidencyLimitKeepsTheMostRecentlyTouched) {
+TEST(MatrixStoreTest, EvictToResidentBytesKeepsTheMostRecentlyTouched) {
   DenseMatrix dense = TestMatrix();
   std::string dir = TestTempPath("lru");
   MatrixStore::Partition(dense, "csr", {.shards = 4}, dir);
@@ -236,10 +236,13 @@ TEST(MatrixStoreTest, EvictToResidencyLimitKeepsTheMostRecentlyTouched) {
   const ShardedMatrix& sharded = Sharded(m);
 
   sharded.LoadShard(2);  // freshest touch
-  EXPECT_EQ(sharded.EvictToResidencyLimit(1), 3u);
+  // A budget of exactly one shard's footprint keeps only the freshest.
+  u64 one_shard = sharded.ShardResidencyInfo(2).resident_bytes;
+  ASSERT_GT(one_shard, 0u);
+  EXPECT_EQ(sharded.EvictToResidentBytes(one_shard), 3u);
   EXPECT_EQ(sharded.LoadedShardCount(), 1u);
   EXPECT_TRUE(sharded.ShardResident(2));
-  EXPECT_EQ(sharded.EvictToResidencyLimit(1), 0u);  // already at the limit
+  EXPECT_EQ(sharded.EvictToResidentBytes(one_shard), 0u);  // within budget
 }
 
 TEST(MatrixStoreTest, ReopeningRunsZeroRePairConstructions) {
@@ -337,14 +340,20 @@ TEST(ShardedSpecTest, InMemoryBuildServesAndRefusesEviction) {
   const ShardedMatrix& sharded = Sharded(m);
   EXPECT_EQ(sharded.LoadedShardCount(), 3u);
   EXPECT_FALSE(sharded.EvictShard(0));  // no file to reload from
-  EXPECT_EQ(sharded.EvictToResidencyLimit(0), 0u);
+  EXPECT_EQ(sharded.EvictToResidentBytes(0), 0u);
   EXPECT_EQ(sharded.LoadedShardCount(), 3u);
 }
 
 TEST(ShardedSpecTest, RejectsNestingAndUnknownInner) {
   DenseMatrix dense = TestMatrix();
-  EXPECT_THROW(AnyMatrix::Build(dense, "sharded?inner=sharded"),
-               std::invalid_argument);
+  // Only core families nest: neither scatter/gather family may be the
+  // inner spec of the other or of itself.
+  for (const char* spec :
+       {"sharded?inner=sharded", "sharded?inner=cluster",
+        "cluster?inner=sharded", "cluster?inner=cluster"}) {
+    EXPECT_THROW(AnyMatrix::Build(dense, spec), std::invalid_argument)
+        << spec;
+  }
   EXPECT_THROW(AnyMatrix::Build(dense, "sharded?inner=wavelet"),
                std::invalid_argument);
   EXPECT_THROW(MatrixStore::Partition(dense, "sharded?inner=csr", {},

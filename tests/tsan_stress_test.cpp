@@ -91,6 +91,10 @@ TEST(TsanStressTest, MultipliesRaceEvictionWithoutCorruption) {
   m.MultiplyLeftInto(yvec, want_left, MulContext{});
   ASSERT_TRUE(NearlyEqual(want_right, dense.MultiplyRight(x)));
   ASSERT_TRUE(NearlyEqual(want_left, dense.MultiplyLeft(yvec)));
+  // Byte-budget eviction measures each shard's pages with mincore under
+  // its mutex, racing the kernels' loads; the budget is about two shards.
+  const u64 two_shards =
+      2 * sharded.ResidentPayloadBytes() / sharded.shard_count();
 
   constexpr int kIters = 40;
   std::atomic<bool> stop{false};
@@ -119,7 +123,7 @@ TEST(TsanStressTest, MultipliesRaceEvictionWithoutCorruption) {
   });
   std::thread evict_limit([&] {
     while (!stop.load()) {
-      sharded.EvictToResidencyLimit(2);
+      sharded.EvictToResidentBytes(two_shards);
     }
   });
 
@@ -149,6 +153,7 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
   std::vector<double> want(dense.rows());
   m.MultiplyRightInto(x, want, MulContext{});
   ASSERT_TRUE(NearlyEqual(want, dense.MultiplyRight(x)));
+  const u64 one_shard = sharded.ResidentPayloadBytes() / sharded.shard_count();
 
   std::atomic<bool> stop{false};
   std::atomic<int> mismatches{0};
@@ -156,7 +161,7 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
     std::size_t i = 0;
     while (!stop.load()) {
       sharded.EvictShard(i % sharded.shard_count());
-      sharded.EvictToResidencyLimit(1);
+      sharded.EvictToResidentBytes(one_shard);
       ++i;
     }
   });
