@@ -132,8 +132,9 @@ void RunConnection(u16 port, const std::string& mix, std::size_t requests,
 LoadResult RunLoad(const DenseMatrix& dense, const AnyMatrix& matrix,
                    bool batching, const CliParser& cli) {
   ServerConfig config;
-  config.batching = batching;
-  config.batch_max = static_cast<std::size_t>(cli.GetInt("batch_max"));
+  // An unbatched run takes one request per kernel call.
+  config.batch_max =
+      batching ? static_cast<std::size_t>(cli.GetInt("batch_max")) : 1;
   config.batch_window_ms = cli.GetDouble("batch_window_ms");
   config.max_connections =
       static_cast<std::size_t>(cli.GetInt("connections")) + 8;

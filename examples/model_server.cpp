@@ -5,7 +5,7 @@
 //                    [--spec gcm:re_ans] [--snapshot model.gcsnap]
 //                    [--store store_dir] [--shards 8]
 //                    [--max-resident-bytes 1048576] [--port 0] [--serve]
-//                    [--batching true] [--eager]
+//                    [--batch-max 16] [--eager]
 //
 // The paper's introduction motivates compression for ML model/data storage
 // and for the bandwidth of server-to-client transmission. This example
@@ -101,11 +101,11 @@ AnyMatrix BuildArtifact(const CliParser& cli, const std::string& snapshot,
 }
 
 /// Loopback client demo: pipelined scoring requests against the server,
-/// every reply checked against the locally computed oracle. Returns the
-/// max abs diff seen (the server executes the same kernels with the
-/// default sequential kernel context, so the answers are bitwise
-/// identical; 1e9 flags a request the server refused).
-double RunClientDemo(const AnyMatrix& served, u16 port,
+/// every reply checked against `oracle`, the same matrix computed
+/// locally. Returns the max abs diff seen (the server executes the same
+/// kernels with the default sequential kernel context, so the answers are
+/// bitwise identical; 1e9 flags a request the server refused).
+double RunClientDemo(const AnyMatrix& oracle, u16 port,
                      std::size_t batches) {
   Client client = Client::Connect("127.0.0.1", port);
   ServerInfo info = client.Info();
@@ -131,7 +131,7 @@ double RunClientDemo(const AnyMatrix& served, u16 port,
   Timer serve_timer;
   while (done < batches) {
     while (sent < batches && window.size() < depth) {
-      std::vector<double> weights(served.cols());
+      std::vector<double> weights(oracle.cols());
       for (auto& w : weights) w = rng.NextGaussian();
       u64 id = client.SendMvmRight(weights);
       window.push_back({id, std::move(weights)});
@@ -146,7 +146,7 @@ double RunClientDemo(const AnyMatrix& served, u16 port,
                    NetErrorName(reply.error), reply.message.c_str());
       return 1e9;
     }
-    std::vector<double> local = served.MultiplyRight(head.weights);
+    std::vector<double> local = oracle.MultiplyRight(head.weights);
     max_diff = std::max(max_diff, MaxAbsDiff(reply.values, local));
     checksum += reply.values[done % reply.values.size()];
     ++done;
@@ -159,13 +159,13 @@ double RunClientDemo(const AnyMatrix& served, u16 port,
 
   // A row-range request serves just a slice -- on a lazy store this only
   // faults in the overlapping shards.
-  std::size_t rows = served.rows();
+  std::size_t rows = oracle.rows();
   u64 begin = static_cast<u64>(rows) / 4;
   u64 end = static_cast<u64>(rows) / 2;
   if (begin < end) {
-    std::vector<double> weights(served.cols(), 1.0);
+    std::vector<double> weights(oracle.cols(), 1.0);
     std::vector<double> slice = client.MvmRight(weights, begin, end);
-    std::vector<double> full = served.MultiplyRight(weights);
+    std::vector<double> full = oracle.MultiplyRight(weights);
     std::vector<double> expected(
         full.begin() + static_cast<std::ptrdiff_t>(begin),
         full.begin() + static_cast<std::ptrdiff_t>(end));
@@ -224,8 +224,8 @@ int main(int argc, char** argv) {
   cli.AddFlag("serve", "false",
               "stay up for external clients instead of running the "
               "loopback demo");
-  cli.AddFlag("batching", "true", "coalesce compatible requests");
-  cli.AddFlag("batch-max", "16", "requests per coalesced kernel call");
+  cli.AddFlag("batch-max", "16",
+              "requests per coalesced kernel call (1 = no coalescing)");
   cli.AddFlag("batch-window-ms", "0.25", "how long a batch waits to fill");
   cli.AddFlag("build-threads", "1",
               "worker pool for shard-parallel construction when the "
@@ -295,7 +295,6 @@ int main(int argc, char** argv) {
     }
     ServerConfig config;
     config.port = static_cast<u16>(cli.GetInt("port"));
-    config.batching = cli.GetBool("batching");
     config.batch_max = static_cast<std::size_t>(cli.GetInt("batch-max"));
     config.batch_window_ms = cli.GetDouble("batch-window-ms");
     Server server(served, config);
@@ -419,7 +418,6 @@ int main(int argc, char** argv) {
   // coalesces compatible pipelined requests into one multi-vector call).
   ServerConfig config;
   config.port = static_cast<u16>(cli.GetInt("port"));
-  config.batching = cli.GetBool("batching");
   config.batch_max = static_cast<std::size_t>(cli.GetInt("batch-max"));
   config.batch_window_ms = cli.GetDouble("batch-window-ms");
   config.max_resident_bytes =
@@ -438,8 +436,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // A store's oracle is a second open of it: checking the replies on the
+  // served handle would fault every shard back in behind the server's
+  // residency cap.
+  AnyMatrix oracle =
+      serve_store ? MatrixStore::Open(store_dir, ShardLoadMode::kLazy) : served;
   double max_diff =
-      RunClientDemo(served, server.port(),
+      RunClientDemo(oracle, server.port(),
                     static_cast<std::size_t>(cli.GetInt("batches")));
   ServerStats stats = server.stats();
   std::printf("server counters: %llu replies, %llu batches (max batch "

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "matrix/dense_matrix.hpp"
+#include "serving/sharded_matrix.hpp"
 
 namespace gcm {
 namespace {
@@ -256,101 +257,73 @@ void RemoteShardedMatrix::RunJobs(std::vector<RangeJob>& jobs,
 // Kernels
 // ---------------------------------------------------------------------------
 
+void RemoteShardedMatrix::Scatter(
+    MvmDirection dir, std::span<const std::span<const double>> in,
+    std::span<const std::span<double>> out) const {
+  const bool right = dir == MvmDirection::kRight;
+  const std::size_t k = in.size();
+  std::lock_guard<std::mutex> lock(mu_);
+  // One job per (range, vector), range-major. A right job carries the
+  // whole input vector, a left job the rows of its range.
+  std::vector<RangeJob> jobs(manifest_.ranges.size() * k);
+  for (std::size_t i = 0; i < manifest_.ranges.size(); ++i) {
+    const ClusterRange& range = manifest_.ranges[i];
+    for (std::size_t j = 0; j < k; ++j) {
+      RangeJob& job = jobs[i * k + j];
+      job.range = i;
+      job.vec = j;
+      std::span<const double> x =
+          right ? in[j] : in[j].subspan(range.row_begin, range.rows());
+      job.x.assign(x.begin(), x.end());
+    }
+  }
+  RunJobs(jobs, right);
+  // Right: each range's reply is its slice of the output. Left: a zeroed
+  // accumulator, then the per-range partials in manifest order (the jobs
+  // are range-major) -- the local kernel's zero-then-add-per-shard
+  // sequence, so the gathered left multiply is bitwise equal to
+  // ShardedMatrix.
+  if (!right) {
+    for (std::span<double> x : out) std::fill(x.begin(), x.end(), 0.0);
+  }
+  for (const RangeJob& job : jobs) {
+    std::span<double> y = out[job.vec];
+    if (right) {
+      std::copy(job.result.begin(), job.result.end(),
+                y.begin() + static_cast<std::ptrdiff_t>(
+                                manifest_.ranges[job.range].row_begin));
+    } else {
+      for (std::size_t c = 0; c < y.size(); ++c) y[c] += job.result[c];
+    }
+  }
+}
+
 void RemoteShardedMatrix::MultiplyRightInto(std::span<const double> x,
                                             std::span<double> y,
                                             const MulContext&) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<RangeJob> jobs(manifest_.ranges.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].range = i;
-    jobs[i].x.assign(x.begin(), x.end());
-  }
-  RunJobs(jobs, /*right=*/true);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const ClusterRange& range = manifest_.ranges[i];
-    std::copy(jobs[i].result.begin(), jobs[i].result.end(),
-              y.begin() + static_cast<std::ptrdiff_t>(range.row_begin));
-  }
+  Scatter(MvmDirection::kRight, {&x, 1}, {&y, 1});
 }
 
 void RemoteShardedMatrix::MultiplyLeftInto(std::span<const double> y,
                                            std::span<double> x,
                                            const MulContext&) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<RangeJob> jobs(manifest_.ranges.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const ClusterRange& range = manifest_.ranges[i];
-    jobs[i].range = i;
-    auto slice = y.subspan(range.row_begin, range.rows());
-    jobs[i].x.assign(slice.begin(), slice.end());
-  }
-  RunJobs(jobs, /*right=*/false);
-  // Fold per-range partials in manifest order from a zeroed accumulator --
-  // the exact zero-then-add-per-shard sequence of the local kernel, so the
-  // gathered left multiply is bitwise equal to ShardedMatrix.
-  std::fill(x.begin(), x.end(), 0.0);
-  for (const RangeJob& job : jobs) {
-    for (std::size_t c = 0; c < x.size(); ++c) x[c] += job.result[c];
-  }
+  Scatter(MvmDirection::kLeft, {&y, 1}, {&x, 1});
 }
 
 void RemoteShardedMatrix::MultiplyRightMulti(const DenseMatrix& x,
                                              DenseMatrix* y,
                                              const MulContext&) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t k = x.cols();
-  const std::size_t ranges = manifest_.ranges.size();
-  std::vector<RangeJob> jobs(ranges * k);
-  for (std::size_t i = 0; i < ranges; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      RangeJob& job = jobs[i * k + j];
-      job.range = i;
-      job.vec = j;
-      job.x.resize(manifest_.cols);
-      for (std::size_t c = 0; c < manifest_.cols; ++c) {
-        job.x[c] = x.At(c, j);
-      }
-    }
-  }
-  RunJobs(jobs, /*right=*/true);
-  for (const RangeJob& job : jobs) {
-    const ClusterRange& range = manifest_.ranges[job.range];
-    for (std::size_t r = 0; r < range.rows(); ++r) {
-      y->Set(range.row_begin + r, job.vec, job.result[r]);
-    }
-  }
+  MultiplyMultiByBatch(MvmDirection::kRight, x, y, [&](auto in, auto out) {
+    Scatter(MvmDirection::kRight, in, out);
+  });
 }
 
 void RemoteShardedMatrix::MultiplyLeftMulti(const DenseMatrix& x,
                                             DenseMatrix* y,
                                             const MulContext&) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t k = x.rows();
-  const std::size_t ranges = manifest_.ranges.size();
-  std::vector<RangeJob> jobs(ranges * k);
-  for (std::size_t i = 0; i < ranges; ++i) {
-    const ClusterRange& range = manifest_.ranges[i];
-    for (std::size_t j = 0; j < k; ++j) {
-      RangeJob& job = jobs[i * k + j];
-      job.range = i;
-      job.vec = j;
-      job.x.resize(range.rows());
-      for (std::size_t c = 0; c < range.rows(); ++c) {
-        job.x[c] = x.At(j, range.row_begin + c);
-      }
-    }
-  }
-  RunJobs(jobs, /*right=*/false);
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t c = 0; c < manifest_.cols; ++c) y->Set(j, c, 0.0);
-  }
-  // Jobs are range-major, so iterating them in order folds each vector's
-  // partials in manifest order -- the bitwise contract again.
-  for (const RangeJob& job : jobs) {
-    for (std::size_t c = 0; c < manifest_.cols; ++c) {
-      y->Set(job.vec, c, y->At(job.vec, c) + job.result[c]);
-    }
-  }
+  MultiplyMultiByBatch(MvmDirection::kLeft, x, y, [&](auto in, auto out) {
+    Scatter(MvmDirection::kLeft, in, out);
+  });
 }
 
 DenseMatrix RemoteShardedMatrix::ToDense() const {

@@ -2,16 +2,19 @@
 //
 // An IMatrixKernel whose "shards" live on remote worker servers: each
 // ClusterManifest range is served by one or more workers speaking the
-// ordinary wire protocol (net/protocol.hpp). A multiply scatters as one
-// row-range MvmRequest per range on pipelined per-worker connections and
-// gathers the partials deterministically:
+// ordinary wire protocol (net/protocol.hpp). Every multiply -- either
+// direction, one vector or a batch of k -- runs through one body,
+// Scatter: one row-range MvmRequest per (range, vector) on pipelined
+// per-worker connections, and the partials gathered deterministically:
 //
 //    right:  y[range] = reply, ranges are disjoint -- concatenation by
 //            range, trivially bitwise equal to the local ShardedMatrix.
 //    left:   x = 0; then x += partial(range) in manifest order. Each range
 //            covers exactly one shard (DeriveClusterManifest never merges),
-//            and the worker's shard-aligned left kernel writes that shard's
-//            partial directly -- so the fold reproduces the local kernel's
+//            and the worker's shard-aligned left kernel answers 0 + that
+//            shard's partial. Adding a zero first changes at most the sign
+//            of a zero, which the coordinator's own zeroed fold does anyway,
+//            so the fold reproduces the local kernel's
 //            zero-then-add-per-shard sequence bitwise.
 //
 // Because the coordinator is itself an ordinary Server over this kernel,
@@ -43,6 +46,7 @@
 #include "net/backoff.hpp"
 #include "net/client.hpp"
 #include "net/cluster/cluster_manifest.hpp"
+#include "serving/sharded_matrix.hpp"
 
 namespace gcm {
 
@@ -150,6 +154,11 @@ class RemoteShardedMatrix final : public IMatrixKernel {
 
   /// Scatter all jobs, then gather them in order.
   void RunJobs(std::vector<RangeJob>& jobs, bool right) const;
+
+  /// The one scatter/gather body the four kernels share: one job per
+  /// (range, vector) of a batch of k, gathered into out[j].
+  void Scatter(MvmDirection dir, std::span<const std::span<const double>> in,
+               std::span<const std::span<double>> out) const;
 
   void SleepBackoff(Backoff& backoff) const;
 

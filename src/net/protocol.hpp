@@ -56,7 +56,7 @@ enum class MsgType : u16 {
   kPing = 1,
   kInfo = 2,
   kMvmRight = 3,  ///< y = M x, optionally restricted to a row range
-  kMvmLeft = 4,   ///< x^t = y^t M
+  kMvmLeft = 4,   ///< x^t = y^t M, optionally over shard-aligned rows
   kHello = 5,     ///< version/capability negotiation (HelloRequest)
   kHealth = 6,    ///< liveness + load probe (empty body)
   // Responses.
@@ -162,10 +162,11 @@ std::vector<u8> EncodeFrame(MsgType type, u64 request_id,
 // Payload bodies
 // ---------------------------------------------------------------------------
 
-/// MvmRight / MvmLeft body. For right multiplies, [row_begin, row_end)
-/// restricts the answer to a row range of y (0, 0 = all rows); left
-/// multiplies require the full range. x carries cols entries (right) or
-/// rows entries (left).
+/// MvmRight / MvmLeft body. [row_begin, row_end) restricts the multiply
+/// to a row range (0, 0 = all rows): a right answer is that slice of y, a
+/// left answer the partial sum over those rows, served only for a
+/// shard-aligned range. x carries cols entries (right) or one entry per
+/// row of the range (left).
 struct MvmRequest {
   u64 row_begin = 0;
   u64 row_end = 0;
@@ -192,9 +193,9 @@ struct ServerInfo {
   u64 rows = 0;
   u64 cols = 0;
   u64 compressed_bytes = 0;
-  u64 shard_count = 0;       ///< 0 for unsharded backends
+  u64 shard_count = 0;       ///< 1 for an unsharded matrix (one shard)
   u64 resident_shards = 0;   ///< == shard_count when unsharded or all hot
-  u8 batching = 0;
+  u8 batching = 0;           ///< 1 when batch_max > 1
   u64 batch_max = 0;
   double batch_window_ms = 0.0;
   u64 requests_served = 0;

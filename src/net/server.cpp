@@ -12,7 +12,6 @@
 #include <cstring>
 #include <utility>
 
-#include "matrix/dense_matrix.hpp"
 #include "serving/sharded_matrix.hpp"
 #include "util/thread_pool.hpp"
 
@@ -31,7 +30,12 @@ Server::Server(AnyMatrix matrix, ServerConfig config)
   GCM_CHECK_MSG(config_.batch_max >= 1, "batch_max must be >= 1");
   GCM_CHECK_MSG(config_.admission_queue_limit >= 1,
                 "admission_queue_limit must be >= 1");
+  // One execution path: an unsharded matrix is served as its only shard.
   sharded_ = ShardedMatrix::FromKernel(matrix_.kernel());
+  if (sharded_ == nullptr) {
+    one_shard_ = ShardedMatrix::FromShards(matrix_.cols(), {matrix_});
+    sharded_ = one_shard_.get();
+  }
 }
 
 Server::~Server() { Stop(); }
@@ -162,11 +166,9 @@ ServerInfo Server::Info() const {
   info.rows = matrix_.rows();
   info.cols = matrix_.cols();
   info.compressed_bytes = matrix_.CompressedBytes();
-  if (sharded_ != nullptr) {
-    info.shard_count = sharded_->shard_count();
-    info.resident_shards = sharded_->LoadedShardCount();
-  }
-  info.batching = config_.batching ? 1 : 0;
+  info.shard_count = sharded_->shard_count();
+  info.resident_shards = sharded_->LoadedShardCount();
+  info.batching = config_.batch_max > 1 ? 1 : 0;
   info.batch_max = config_.batch_max;
   info.batch_window_ms = config_.batch_window_ms;
   ServerStats snapshot = stats();
@@ -306,9 +308,7 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       HealthReply health;
       health.accepting = stopping_ ? 0 : 1;
       health.queue_depth = QueueDepth();
-      if (sharded_ != nullptr) {
-        health.resident_shards = sharded_->LoadedShardCount();
-      }
+      health.resident_shards = sharded_->LoadedShardCount();
       {
         std::lock_guard<std::mutex> stats_lock(stats_mu_);
         health.requests_served = stats_.replies_sent;
@@ -329,7 +329,9 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       return;
   }
 
-  const bool right = frame.type == MsgType::kMvmRight;
+  const MvmDirection dir = frame.type == MsgType::kMvmRight
+                               ? MvmDirection::kRight
+                               : MvmDirection::kLeft;
   MvmRequest request;
   try {
     ByteReader in(frame.payload);
@@ -352,23 +354,22 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                     std::to_string(request.row_end) + ") invalid for " +
                     std::to_string(matrix_.rows()) + " rows");
     return;
-  } else if (!right && (sharded_ == nullptr ||
-                        !sharded_->RangeAlignedToShards(request.row_begin,
-                                                        request.row_end))) {
+  } else if (dir == MvmDirection::kLeft &&
+             !sharded_->RangeAlignedToShards(request.row_begin,
+                                             request.row_end)) {
     // A ranged left multiply is a *partial sum* over the named rows; it is
     // served only when the range tiles exactly onto shards, so the
     // cluster-gathered sum stays bitwise equal to the local fold.
     SendErrorTo(*conn, id, NetError::kBadRowRange,
-                "left multiplies take the full row range" +
-                    std::string(sharded_ != nullptr
-                                    ? " or a shard-aligned range"
-                                    : ""));
+                "left multiplies take the full row range or a shard-aligned "
+                "range");
     return;
   }
 
   const std::size_t expected =
-      right ? matrix_.cols()
-            : static_cast<std::size_t>(request.row_end - request.row_begin);
+      dir == MvmDirection::kRight
+          ? matrix_.cols()
+          : static_cast<std::size_t>(request.row_end - request.row_begin);
   if (request.x.size() != expected) {
     SendErrorTo(*conn, id, NetError::kDimensionMismatch,
                 "input has " + std::to_string(request.x.size()) +
@@ -379,7 +380,7 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
   PendingMvm pending;
   pending.conn = conn;
   pending.request_id = id;
-  pending.right = right;
+  pending.dir = dir;
   pending.row_begin = request.row_begin;
   pending.row_end = request.row_end;
   pending.x = std::move(request.x);
@@ -428,36 +429,34 @@ void Server::DispatcherLoop() {
       if (stopping_) return;  // Stop() answers what is left in the queue
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
-      if (config_.batching && config_.batch_max > 1) {
-        // Pull compatible requests off the queue front until the batch is
-        // full or the window closes. Only the head is ever taken, so
-        // admission order is preserved. The window is waited out only
-        // while the queue is idle: an incompatible request reaching the
-        // head flushes the batch immediately, so coalescing never delays
-        // unrelated work behind it.
-        auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double, std::milli>(
-                                config_.batch_window_ms));
-        bool flush = false;
-        while (batch.size() < config_.batch_max && !stopping_ && !flush) {
-          if (!queue_.empty()) {
-            if (Compatible(batch.front(), queue_.front())) {
-              batch.push_back(std::move(queue_.front()));
-              queue_.pop_front();
-            } else {
-              flush = true;  // incompatible head: dispatch now, keep it queued
-            }
-            continue;
+      // Pull compatible requests off the queue front until the batch is
+      // full (batch_max = 1 never coalesces) or the window closes. Only
+      // the head is ever taken, so admission order is preserved. The
+      // window is waited out only while the queue is idle: an incompatible
+      // request reaching the head flushes the batch immediately, so
+      // coalescing never delays unrelated work behind it.
+      auto deadline = std::chrono::steady_clock::now() +
+                      std::chrono::duration_cast<
+                          std::chrono::steady_clock::duration>(
+                          std::chrono::duration<double, std::milli>(
+                              config_.batch_window_ms));
+      bool flush = false;
+      while (batch.size() < config_.batch_max && !stopping_ && !flush) {
+        if (!queue_.empty()) {
+          if (Compatible(batch.front(), queue_.front())) {
+            batch.push_back(std::move(queue_.front()));
+            queue_.pop_front();
+          } else {
+            flush = true;  // incompatible head: dispatch now, keep it queued
           }
-          flush =
-              queue_cv_.wait_until(lock, deadline) == std::cv_status::timeout;
+          continue;
         }
+        flush =
+            queue_cv_.wait_until(lock, deadline) == std::cv_status::timeout;
       }
     }
     ExecuteBatch(batch);
-    if (sharded_ != nullptr && config_.max_resident_bytes > 0) {
+    if (config_.max_resident_bytes > 0) {
       std::size_t evicted =
           sharded_->EvictToResidentBytes(config_.max_resident_bytes);
       if (evicted > 0) {
@@ -469,84 +468,24 @@ void Server::DispatcherLoop() {
 }
 
 void Server::ExecuteBatch(std::vector<PendingMvm>& batch) {
+  // One kernel call answers the whole batch: its requests share a
+  // direction and a row range, and each gets its own input and output span.
   const std::size_t k = batch.size();
-  const MulContext ctx{pool_.get()};
+  const PendingMvm& head = batch.front();
+  const std::size_t out_size = head.dir == MvmDirection::kRight
+                                   ? head.row_end - head.row_begin
+                                   : matrix_.cols();
   std::vector<std::vector<double>> results(k);
   try {
-    if (batch[0].right) {
-      const std::size_t begin = batch[0].row_begin;
-      const std::size_t end = batch[0].row_end;
-      const std::size_t out_rows = end - begin;
-      const bool full = begin == 0 && end == matrix_.rows();
-      if (k == 1) {
-        if (full) {
-          results[0] = matrix_.MultiplyRight(batch[0].x, ctx);
-        } else if (sharded_ != nullptr) {
-          // Admission-aware touch: only shards overlapping the range are
-          // faulted in, so a residency-limited store stays bounded.
-          results[0].resize(out_rows);
-          sharded_->MultiplyRightRangeInto(batch[0].x, results[0], begin, end,
-                                           ctx);
-        } else {
-          std::vector<double> y = matrix_.MultiplyRight(batch[0].x, ctx);
-          results[0].assign(y.begin() + static_cast<std::ptrdiff_t>(begin),
-                            y.begin() + static_cast<std::ptrdiff_t>(end));
-        }
-      } else {
-        DenseMatrix x(matrix_.cols(), k);
-        for (std::size_t j = 0; j < k; ++j) {
-          for (std::size_t c = 0; c < matrix_.cols(); ++c) {
-            x.Set(c, j, batch[j].x[c]);
-          }
-        }
-        DenseMatrix y;
-        std::size_t offset = 0;
-        if (!full && sharded_ != nullptr) {
-          y = sharded_->MultiplyRightRangeMulti(x, begin, end, ctx);
-        } else {
-          y = matrix_.MultiplyRightMulti(x, ctx);
-          offset = begin;  // slice the requested rows out of the full result
-        }
-        for (std::size_t j = 0; j < k; ++j) {
-          results[j].resize(out_rows);
-          for (std::size_t r = 0; r < out_rows; ++r) {
-            results[j][r] = y.At(offset + r, j);
-          }
-        }
-      }
-    } else {
-      const std::size_t begin = batch[0].row_begin;
-      const std::size_t end = batch[0].row_end;
-      const std::size_t in_rows = end - begin;
-      const bool full = begin == 0 && end == matrix_.rows();
-      if (k == 1) {
-        if (full) {
-          results[0] = matrix_.MultiplyLeft(batch[0].x, ctx);
-        } else {
-          // HandleFrame admits ranged lefts only when sharded_ != nullptr
-          // and the range is shard-aligned.
-          results[0].resize(matrix_.cols());
-          sharded_->MultiplyLeftRangeInto(batch[0].x, results[0], begin, end,
-                                          ctx);
-        }
-      } else {
-        DenseMatrix x(k, in_rows);
-        for (std::size_t j = 0; j < k; ++j) {
-          for (std::size_t r = 0; r < in_rows; ++r) {
-            x.Set(j, r, batch[j].x[r]);
-          }
-        }
-        DenseMatrix y = full ? matrix_.MultiplyLeftMulti(x, ctx)
-                             : sharded_->MultiplyLeftRangeMulti(x, begin, end,
-                                                                ctx);
-        for (std::size_t j = 0; j < k; ++j) {
-          results[j].resize(matrix_.cols());
-          for (std::size_t c = 0; c < matrix_.cols(); ++c) {
-            results[j][c] = y.At(j, c);
-          }
-        }
-      }
+    std::vector<std::span<const double>> inputs(k);
+    std::vector<std::span<double>> outputs(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      results[j].resize(out_size);
+      inputs[j] = batch[j].x;
+      outputs[j] = results[j];
     }
+    sharded_->MultiplyBatch(head.dir, head.row_begin, head.row_end, inputs,
+                            outputs, MulContext{pool_.get()});
   } catch (const RpcError& e) {
     // A named request-level failure (the cluster layer classifying a
     // scatter failure): forward the code so clients see no_replica /

@@ -12,23 +12,31 @@
 //                 pulling *compatible* requests (same direction + row
 //                 range) from the queue front until batch_max is reached
 //                 or batch_window_ms elapses, executes the batch as ONE
-//                 MultiplyRightMulti / MultiplyLeftMulti call, and
-//                 scatters one MvmReply per request
+//                 ShardedMatrix::MultiplyBatch call (one input and one
+//                 output span per request), and scatters one MvmReply per
+//                 request
 //
-// Batching changes throughput, never answers: vector j of a multi-vector
-// kernel is bitwise identical to the sequential single-vector call (the
-// engine contract in core/any_matrix.hpp), so a request's reply does not
-// depend on who it shared a batch with. Only the queue head is ever
-// pulled into a batch, so requests dispatch in admission order; the
-// window is waited out only while the queue is idle -- an incompatible
-// request reaching the head flushes the batch immediately, so coalescing
-// never delays unrelated work behind it.
+// One execution path: every batch -- either direction, full or ranged,
+// one request or k -- is that one call. An unsharded matrix is served as
+// a one-shard ShardedMatrix::FromShards, so it takes the same path (a
+// right range computes the whole shard and copies the rows; a left range
+// must be the full range, the only shard-aligned one); Info and Hello
+// still describe the matrix the server was given.
 //
-// Residency: when the matrix is sharded and max_resident_bytes is set, the
-// dispatcher evicts least-recently-used shards until the page-granular
-// resident footprint (ShardedMatrix::EvictToResidentBytes) fits the budget
-// after every batch, so a row-range workload over a big store serves from
-// a bounded working set (range requests only fault in overlapping shards).
+// Batching changes throughput, never answers: vector j of a batch is
+// bitwise identical to the sequential single-vector call (the engine
+// contract in core/any_matrix.hpp), so a request's reply does not depend
+// on who it shared a batch with. batch_max = 1 turns coalescing off. Only
+// the queue head is ever pulled into a batch, so requests dispatch in
+// admission order; the window is waited out only while the queue is idle
+// -- an incompatible request reaching the head flushes the batch
+// immediately, so coalescing never delays unrelated work behind it.
+//
+// Residency: when max_resident_bytes is set, the dispatcher evicts
+// least-recently-used shards until the page-granular resident footprint
+// (ShardedMatrix::EvictToResidentBytes) fits the budget after every
+// batch, so a row-range workload over a big store serves from a bounded
+// working set (range requests only fault in overlapping shards).
 #pragma once
 
 #include <atomic>
@@ -44,18 +52,18 @@
 
 #include "core/any_matrix.hpp"
 #include "net/protocol.hpp"
+#include "serving/sharded_matrix.hpp"
 
 namespace gcm {
 
-class ShardedMatrix;
 class ThreadPool;
 
 struct ServerConfig {
   std::string host = "127.0.0.1";
   u16 port = 0;  ///< 0 = ephemeral; read the bound port via port()
 
-  bool batching = true;
-  std::size_t batch_max = 16;      ///< max requests per kernel call
+  std::size_t batch_max = 16;      ///< max requests per kernel call; 1
+                                   ///< turns coalescing off
   double batch_window_ms = 0.25;   ///< how long a batch waits to fill
 
   std::size_t admission_queue_limit = 256;  ///< kQueueFull beyond this
@@ -65,9 +73,9 @@ struct ServerConfig {
   /// 0 = hardware concurrency (util/thread_pool.hpp policy).
   std::size_t kernel_threads = 1;
 
-  /// When > 0 and the matrix is sharded: evict LRU shards until at most
-  /// this many payload bytes stay resident, after every batch (0 = never
-  /// evict).
+  /// When > 0: evict LRU shards until at most this many payload bytes
+  /// stay resident, after every batch (0 = never evict; an unsharded
+  /// matrix has nothing to evict).
   u64 max_resident_bytes = 0;
 };
 
@@ -87,7 +95,8 @@ class Server {
  public:
   /// Takes the matrix to serve (a cheap shared handle). The server only
   /// ever uses const kernel calls, so the same AnyMatrix can be shared
-  /// with other readers.
+  /// with other readers. An unsharded matrix is wrapped as one shard,
+  /// which needs at least one row and one column (gcm::Error otherwise).
   Server(AnyMatrix matrix, ServerConfig config);
   ~Server();
 
@@ -133,7 +142,7 @@ class Server {
   struct PendingMvm {
     std::shared_ptr<Connection> conn;
     u64 request_id = 0;
-    bool right = true;  ///< kMvmRight vs kMvmLeft
+    MvmDirection dir = MvmDirection::kRight;
     u64 row_begin = 0;  ///< normalized: full range spelled out
     u64 row_end = 0;
     std::vector<double> x;
@@ -152,12 +161,16 @@ class Server {
                    const std::string& message);
 
   static bool Compatible(const PendingMvm& a, const PendingMvm& b) {
-    return a.right == b.right && a.row_begin == b.row_begin &&
+    return a.dir == b.dir && a.row_begin == b.row_begin &&
            a.row_end == b.row_end;
   }
 
-  AnyMatrix matrix_;
-  const ShardedMatrix* sharded_ = nullptr;  ///< non-null iff matrix is sharded
+  AnyMatrix matrix_;  ///< what Info and Hello describe
+  /// The matrix every batch runs through: matrix_ itself when it is
+  /// sharded, else one_shard_, a one-shard ShardedMatrix over it. Never
+  /// null.
+  const ShardedMatrix* sharded_ = nullptr;
+  std::shared_ptr<const ShardedMatrix> one_shard_;
   ServerConfig config_;
   std::unique_ptr<ThreadPool> pool_;
 

@@ -12,6 +12,7 @@
 #include "util/check.hpp"
 #include "util/mapped_file.hpp"
 #include "util/partials.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gcm {
@@ -300,138 +301,160 @@ std::size_t ShardedMatrix::EvictToResidentBytes(u64 max_bytes) const {
 // Kernels
 // ---------------------------------------------------------------------------
 
-void ShardedMatrix::MultiplyRightInto(std::span<const double> x,
-                                      std::span<double> y,
-                                      const MulContext& ctx) const {
-  // Scatter: each shard owns a disjoint slice of y, so the gather is the
-  // write itself and pooled/unpooled runs are bitwise identical.
-  auto run_shard = [&](std::size_t i, const MulContext& inner) {
-    const ShardState& shard = *states_[i];
+void ShardedMatrix::MultiplyBatch(MvmDirection dir, std::size_t row_begin,
+                                  std::size_t row_end,
+                                  std::span<const std::span<const double>> in,
+                                  std::span<const std::span<double>> out,
+                                  const MulContext& ctx) const {
+  const bool right = dir == MvmDirection::kRight;
+  GCM_CHECK_MSG(row_begin < row_end && row_end <= rows(),
+                "row range [" << row_begin << ", " << row_end
+                              << ") invalid for " << rows() << " rows");
+  GCM_CHECK_MSG(right || RangeAlignedToShards(row_begin, row_end),
+                "left range [" << row_begin << ", " << row_end
+                               << ") is not shard-aligned");
+  const std::size_t k = in.size();
+  GCM_CHECK_MSG(out.size() == k, "batch has " << k << " inputs but "
+                                              << out.size() << " outputs");
+  const std::size_t in_size = right ? cols() : row_end - row_begin;
+  const std::size_t out_size = right ? row_end - row_begin : cols();
+  for (std::size_t j = 0; j < k; ++j) {
+    GCM_CHECK_MSG(in[j].size() == in_size && out[j].size() == out_size,
+                  "batch vector " << j << ": input has " << in[j].size()
+                                  << " entries and output " << out[j].size()
+                                  << ", expected " << in_size << " and "
+                                  << out_size);
+  }
+  if (k == 0) return;
+
+  // Shards tile the rows in order, so the ones the range overlaps are the
+  // run [first, first + touched); only those are acquired (faulted in and
+  // LRU-stamped).
+  const std::vector<ShardManifestEntry>& entries = manifest_.shards;
+  const std::size_t first = static_cast<std::size_t>(
+      std::partition_point(entries.begin(), entries.end(),
+                           [&](const ShardManifestEntry& e) {
+                             return e.row_end <= row_begin;
+                           }) -
+      entries.begin());
+  const std::size_t touched =
+      static_cast<std::size_t>(
+          std::partition_point(entries.begin(), entries.end(),
+                               [&](const ShardManifestEntry& e) {
+                                 return e.row_begin < row_end;
+                               }) -
+          entries.begin()) -
+      first;
+
+  // A right batch of k > 1 is packed once into the engine's cols x k
+  // layout, which every shard reads; a left batch gets one k x cols
+  // partial per touched shard (row-major, vector j at offset j * cols).
+  DenseMatrix x_block;
+  if (right && k > 1) {
+    x_block = DenseMatrix(cols(), k);
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t c = 0; c < cols(); ++c) x_block.Set(c, j, in[j][c]);
+    }
+  }
+  PartialVectors partials(right ? 0 : touched, k * cols());
+
+  auto run_shard = [&](std::size_t t, const MulContext& inner) {
+    const ShardState& shard = *states_[first + t];
+    const ShardManifestEntry& entry = shard.entry;
     AnyMatrix m = Acquire(shard);
-    // Manifest validation guarantees a contiguous row tiling; assert the
-    // slice really lies inside the caller's span before subspan() (an
-    // out-of-range subspan is UB, not an exception).
-    GCM_DCHECK_MSG(shard.entry.row_begin <= y.size() &&
-                       shard.entry.row_end <= y.size() &&
-                       shard.entry.row_begin <= shard.entry.row_end,
-                   "shard " << i << " rows [" << shard.entry.row_begin << ", "
-                            << shard.entry.row_end
-                            << ") outside output span of " << y.size());
-    m.MultiplyRightInto(
-        x, y.subspan(shard.entry.row_begin, shard.entry.rows()), inner);
+    if (!right) {
+      // Aligned, so the shard lies inside the range.
+      const std::size_t offset = entry.row_begin - row_begin;
+      std::span<double> part = partials.part(t);
+      if (k == 1) {
+        m.MultiplyLeftInto(in[0].subspan(offset, entry.rows()), part, inner);
+        return;
+      }
+      DenseMatrix slice(k, entry.rows());
+      for (std::size_t j = 0; j < k; ++j) {
+        for (std::size_t r = 0; r < entry.rows(); ++r) {
+          slice.Set(j, r, in[j][offset + r]);
+        }
+      }
+      DenseMatrix p = m.MultiplyLeftMulti(slice, inner);
+      for (std::size_t j = 0; j < k; ++j) {
+        for (std::size_t c = 0; c < cols(); ++c) {
+          part[j * cols() + c] = p.At(j, c);
+        }
+      }
+      return;
+    }
+    const std::size_t begin = std::max(row_begin, entry.row_begin);
+    const std::size_t end = std::min(row_end, entry.row_end);
+    if (k == 1) {
+      std::span<double> y = out[0].subspan(begin - row_begin, end - begin);
+      if (begin == entry.row_begin && end == entry.row_end) {
+        m.MultiplyRightInto(in[0], y, inner);
+        return;
+      }
+      // Row slicing below the shard grain would need another kernel: the
+      // shard computes all its rows and the overlap is copied.
+      std::vector<double> scratch(entry.rows());
+      m.MultiplyRightInto(in[0], scratch, inner);
+      for (std::size_t r = begin; r < end; ++r) {
+        y[r - begin] = scratch[r - entry.row_begin];
+      }
+      return;
+    }
+    DenseMatrix block = m.MultiplyRightMulti(x_block, inner);
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t r = begin; r < end; ++r) {
+        out[j][r - row_begin] = block.At(r - entry.row_begin, j);
+      }
+    }
   };
-  if (ctx.pool != nullptr && states_.size() > 1) {
+  if (ctx.pool != nullptr && touched > 1) {
     // Shards are the parallel grain; shard kernels run sequentially inside
     // their task. Nested ParallelFor is safe (the worker helps drain its
     // own range), but one task per shard already saturates the pool, so
     // forwarding it inward would only add fan-out overhead.
-    ctx.pool->ParallelFor(states_.size(),
-                          [&](std::size_t i) { run_shard(i, MulContext{}); });
+    ctx.pool->ParallelFor(touched,
+                          [&](std::size_t t) { run_shard(t, MulContext{}); });
   } else {
-    for (std::size_t i = 0; i < states_.size(); ++i) run_shard(i, ctx);
+    for (std::size_t t = 0; t < touched; ++t) run_shard(t, ctx);
   }
+
+  if (!right) {
+    // Zero, then add each shard's partial in shard order: the same sums
+    // whichever thread computed which partial.
+    for (std::size_t j = 0; j < k; ++j) {
+      std::fill(out[j].begin(), out[j].end(), 0.0);
+      for (std::size_t t = 0; t < touched; ++t) {
+        simd::Add(out[j].data(), partials.part(t).data() + j * cols(), cols());
+      }
+    }
+  }
+}
+
+void ShardedMatrix::MultiplyRightInto(std::span<const double> x,
+                                      std::span<double> y,
+                                      const MulContext& ctx) const {
+  MultiplyBatch(MvmDirection::kRight, 0, rows(), {&x, 1}, {&y, 1}, ctx);
 }
 
 void ShardedMatrix::MultiplyLeftInto(std::span<const double> y,
                                      std::span<double> x,
                                      const MulContext& ctx) const {
-  // Each shard contributes a full cols-sized partial; partials are summed
-  // in shard order so the reduction is deterministic with and without a
-  // pool. (This kernel allocates its scratch per call -- shards overwrite
-  // their outputs, so the partials cannot share the caller's span.)
-  std::fill(x.begin(), x.end(), 0.0);
-  std::size_t n = states_.size();
-  if (ctx.pool != nullptr && n > 1) {
-    PartialVectors partials(n, cols());
-    ctx.pool->ParallelFor(n, [&](std::size_t i) {
-      const ShardState& shard = *states_[i];
-      AnyMatrix m = Acquire(shard);
-      GCM_DCHECK_MSG(shard.entry.row_end <= y.size() &&
-                         shard.entry.row_begin <= shard.entry.row_end,
-                     "shard " << i << " rows [" << shard.entry.row_begin
-                              << ", " << shard.entry.row_end
-                              << ") outside input span of " << y.size());
-      m.MultiplyLeftInto(
-          y.subspan(shard.entry.row_begin, shard.entry.rows()),
-          partials.part(i), MulContext{});
-    });
-    partials.AccumulateInto(x);
-  } else {
-    std::vector<double> partial(cols());
-    for (std::size_t i = 0; i < n; ++i) {
-      const ShardState& shard = *states_[i];
-      AnyMatrix m = Acquire(shard);
-      GCM_DCHECK_MSG(shard.entry.row_end <= y.size() &&
-                         shard.entry.row_begin <= shard.entry.row_end,
-                     "shard " << i << " rows [" << shard.entry.row_begin
-                              << ", " << shard.entry.row_end
-                              << ") outside input span of " << y.size());
-      m.MultiplyLeftInto(
-          y.subspan(shard.entry.row_begin, shard.entry.rows()), partial, ctx);
-      for (std::size_t c = 0; c < cols(); ++c) x[c] += partial[c];
-    }
-  }
+  MultiplyBatch(MvmDirection::kLeft, 0, rows(), {&y, 1}, {&x, 1}, ctx);
 }
 
 void ShardedMatrix::MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
                                        const MulContext& ctx) const {
-  // Same scatter as MultiplyRightInto, one batch at a time: each shard
-  // writes its own disjoint row block of y, so pooled shards need no
-  // synchronization and pooled/unpooled runs are bitwise identical.
-  const std::size_t k = x.cols();
-  auto run_shard = [&](std::size_t i, const MulContext& inner) {
-    const ShardState& shard = *states_[i];
-    AnyMatrix m = Acquire(shard);
-    DenseMatrix block = m.MultiplyRightMulti(x, inner);
-    for (std::size_t r = 0; r < shard.entry.rows(); ++r) {
-      for (std::size_t j = 0; j < k; ++j) {
-        y->Set(shard.entry.row_begin + r, j, block.At(r, j));
-      }
-    }
-  };
-  if (ctx.pool != nullptr && states_.size() > 1) {
-    ctx.pool->ParallelFor(states_.size(),
-                          [&](std::size_t i) { run_shard(i, MulContext{}); });
-  } else {
-    for (std::size_t i = 0; i < states_.size(); ++i) run_shard(i, ctx);
-  }
+  MultiplyMultiByBatch(MvmDirection::kRight, x, y, [&](auto in, auto out) {
+    MultiplyBatch(MvmDirection::kRight, 0, rows(), in, out, ctx);
+  });
 }
 
 void ShardedMatrix::MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
                                       const MulContext& ctx) const {
-  // Mirrors MultiplyLeftInto: one k x cols partial per shard (each fed the
-  // k x shard_rows column slice of x), summed in shard order so the
-  // reduction matches the sequential single-vector kernel bitwise.
-  const std::size_t k = x.rows();
-  const std::size_t n = states_.size();
-  auto shard_partial = [&](std::size_t i, const MulContext& inner) {
-    const ShardState& shard = *states_[i];
-    AnyMatrix m = Acquire(shard);
-    DenseMatrix slice(k, shard.entry.rows());
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t c = 0; c < shard.entry.rows(); ++c) {
-        slice.Set(j, c, x.At(j, shard.entry.row_begin + c));
-      }
-    }
-    return m.MultiplyLeftMulti(slice, inner);
-  };
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t c = 0; c < cols(); ++c) y->Set(j, c, 0.0);
-  }
-  std::vector<DenseMatrix> partials(n);
-  if (ctx.pool != nullptr && n > 1) {
-    ctx.pool->ParallelFor(
-        n, [&](std::size_t i) { partials[i] = shard_partial(i, MulContext{}); });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) partials[i] = shard_partial(i, ctx);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t c = 0; c < cols(); ++c) {
-        y->Set(j, c, y->At(j, c) + partials[i].At(j, c));
-      }
-    }
-  }
+  MultiplyMultiByBatch(MvmDirection::kLeft, x, y, [&](auto in, auto out) {
+    MultiplyBatch(MvmDirection::kLeft, 0, rows(), in, out, ctx);
+  });
 }
 
 void ShardedMatrix::MultiplyRightRangeInto(std::span<const double> x,
@@ -439,68 +462,8 @@ void ShardedMatrix::MultiplyRightRangeInto(std::span<const double> x,
                                            std::size_t row_begin,
                                            std::size_t row_end,
                                            const MulContext& ctx) const {
-  GCM_CHECK_MSG(row_begin < row_end && row_end <= rows(),
-                "row range [" << row_begin << ", " << row_end
-                              << ") invalid for " << rows() << " rows");
-  GCM_CHECK_MSG(x.size() == cols(), "range kernel: input has "
-                                        << x.size() << " entries, expected "
-                                        << cols());
-  GCM_CHECK_MSG(y.size() == row_end - row_begin,
-                "range kernel: output has " << y.size()
-                                            << " entries, expected "
-                                            << row_end - row_begin);
-  // Only shards overlapping the range are touched (and thus faulted in /
-  // LRU-stamped). A shard fully inside the range writes straight into the
-  // caller's span -- the same call MultiplyRightInto would make, so a
-  // full-range query is bitwise identical to the unranged kernel. A shard
-  // partially covered still computes all its rows (row-range slicing below
-  // the shard grain would need a different kernel) and copies the overlap.
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const ShardState& shard = *states_[i];
-    std::size_t begin = std::max(row_begin, shard.entry.row_begin);
-    std::size_t end = std::min(row_end, shard.entry.row_end);
-    if (begin >= end) continue;
-    AnyMatrix m = Acquire(shard);
-    if (begin == shard.entry.row_begin && end == shard.entry.row_end) {
-      m.MultiplyRightInto(
-          x, y.subspan(begin - row_begin, shard.entry.rows()), ctx);
-    } else {
-      std::vector<double> scratch(shard.entry.rows());
-      m.MultiplyRightInto(x, scratch, ctx);
-      for (std::size_t r = begin; r < end; ++r) {
-        y[r - row_begin] = scratch[r - shard.entry.row_begin];
-      }
-    }
-  }
-}
-
-DenseMatrix ShardedMatrix::MultiplyRightRangeMulti(const DenseMatrix& x,
-                                                   std::size_t row_begin,
-                                                   std::size_t row_end,
-                                                   const MulContext& ctx) const {
-  GCM_CHECK_MSG(row_begin < row_end && row_end <= rows(),
-                "row range [" << row_begin << ", " << row_end
-                              << ") invalid for " << rows() << " rows");
-  GCM_CHECK_MSG(x.rows() == cols(), "range kernel: input has "
-                                        << x.rows() << " rows, expected "
-                                        << cols());
-  const std::size_t k = x.cols();
-  DenseMatrix y(row_end - row_begin, k);
-  // Batched analog of MultiplyRightRangeInto: untouched shards stay cold.
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const ShardState& shard = *states_[i];
-    std::size_t begin = std::max(row_begin, shard.entry.row_begin);
-    std::size_t end = std::min(row_end, shard.entry.row_end);
-    if (begin >= end) continue;
-    AnyMatrix m = Acquire(shard);
-    DenseMatrix block = m.MultiplyRightMulti(x, ctx);
-    for (std::size_t r = begin; r < end; ++r) {
-      for (std::size_t j = 0; j < k; ++j) {
-        y.Set(r - row_begin, j, block.At(r - shard.entry.row_begin, j));
-      }
-    }
-  }
-  return y;
+  MultiplyBatch(MvmDirection::kRight, row_begin, row_end, {&x, 1}, {&y, 1},
+                ctx);
 }
 
 bool ShardedMatrix::RangeAlignedToShards(std::size_t row_begin,
@@ -515,84 +478,33 @@ bool ShardedMatrix::RangeAlignedToShards(std::size_t row_begin,
   return begin_ok && end_ok;
 }
 
-void ShardedMatrix::MultiplyLeftRangeInto(std::span<const double> y,
-                                          std::span<double> x,
-                                          std::size_t row_begin,
-                                          std::size_t row_end,
-                                          const MulContext& ctx) const {
-  GCM_CHECK_MSG(RangeAlignedToShards(row_begin, row_end),
-                "left range [" << row_begin << ", " << row_end
-                               << ") is not shard-aligned");
-  GCM_CHECK_MSG(y.size() == row_end - row_begin,
-                "range kernel: input has " << y.size()
-                                           << " entries, expected "
-                                           << row_end - row_begin);
-  GCM_CHECK_MSG(x.size() == cols(), "range kernel: output has "
-                                        << x.size() << " entries, expected "
-                                        << cols());
-  // The first overlapping shard writes its partial straight into x (the
-  // inner kernel overwrites its whole output), later shards accumulate
-  // through a scratch partial in shard order. A one-shard range therefore
-  // produces exactly the term the full left kernel folds for that shard.
-  bool first = true;
-  std::vector<double> partial;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const ShardState& shard = *states_[i];
-    if (shard.entry.row_end <= row_begin || shard.entry.row_begin >= row_end) {
-      continue;
+void MultiplyMultiByBatch(MvmDirection dir, const DenseMatrix& x,
+                          DenseMatrix* y, const BatchRoutine& run) {
+  const bool right = dir == MvmDirection::kRight;
+  const std::size_t k = right ? x.cols() : x.rows();
+  const std::size_t in_size = right ? x.rows() : x.cols();
+  const std::size_t out_size = right ? y->rows() : y->cols();
+  std::vector<double> in_data(k * in_size);
+  std::vector<double> out_data(k * out_size);
+  std::vector<std::span<const double>> in(k);
+  std::vector<std::span<double>> out(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < in_size; ++i) {
+      in_data[j * in_size + i] = right ? x.At(i, j) : x.At(j, i);
     }
-    AnyMatrix m = Acquire(shard);
-    auto slice =
-        y.subspan(shard.entry.row_begin - row_begin, shard.entry.rows());
-    if (first) {
-      m.MultiplyLeftInto(slice, x, ctx);
-      first = false;
-    } else {
-      partial.resize(cols());
-      m.MultiplyLeftInto(slice, partial, ctx);
-      for (std::size_t c = 0; c < cols(); ++c) x[c] += partial[c];
-    }
+    in[j] = {in_data.data() + j * in_size, in_size};
+    out[j] = {out_data.data() + j * out_size, out_size};
   }
-}
-
-DenseMatrix ShardedMatrix::MultiplyLeftRangeMulti(const DenseMatrix& x,
-                                                  std::size_t row_begin,
-                                                  std::size_t row_end,
-                                                  const MulContext& ctx) const {
-  GCM_CHECK_MSG(RangeAlignedToShards(row_begin, row_end),
-                "left range [" << row_begin << ", " << row_end
-                               << ") is not shard-aligned");
-  GCM_CHECK_MSG(x.cols() == row_end - row_begin,
-                "range kernel: input has " << x.cols()
-                                           << " columns, expected "
-                                           << row_end - row_begin);
-  const std::size_t k = x.rows();
-  DenseMatrix out(k, cols());
-  // Batched analog of MultiplyLeftRangeInto: first shard copies, later
-  // shards add, all in shard order; vector j of either is bitwise
-  // identical per the engine's multi contract.
-  bool first = true;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const ShardState& shard = *states_[i];
-    if (shard.entry.row_end <= row_begin || shard.entry.row_begin >= row_end) {
-      continue;
-    }
-    AnyMatrix m = Acquire(shard);
-    DenseMatrix slice(k, shard.entry.rows());
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t c = 0; c < shard.entry.rows(); ++c) {
-        slice.Set(j, c, x.At(j, shard.entry.row_begin - row_begin + c));
+  run(in, out);
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < out_size; ++i) {
+      if (right) {
+        y->Set(i, j, out[j][i]);
+      } else {
+        y->Set(j, i, out[j][i]);
       }
     }
-    DenseMatrix part = m.MultiplyLeftMulti(slice, ctx);
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t c = 0; c < cols(); ++c) {
-        out.Set(j, c, first ? part.At(j, c) : out.At(j, c) + part.At(j, c));
-      }
-    }
-    first = false;
   }
-  return out;
 }
 
 DenseMatrix ShardedMatrix::ToDense() const {

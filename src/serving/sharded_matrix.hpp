@@ -9,15 +9,18 @@
 //    AnyMatrix m = MatrixStore::Open("store/");       // reads manifest only
 //    m.MultiplyRightInto(x, y, {.pool = &pool});      // shard-parallel
 //
-// Kernels scatter row ranges across shards and gather into the caller's
-// span: MultiplyRightInto hands each shard a disjoint sub-span of y (the
-// gather is free, and pooled/unpooled runs are bitwise identical);
-// MultiplyLeftInto collects one cols-sized partial per shard and sums the
-// partials in shard order, so the reduction is deterministic with and
-// without a pool. When a pool is present, shards run in parallel and each
+// Every multiply -- either direction, full or row range, one vector or a
+// batch of k -- runs through one scatter/gather routine, MultiplyBatch.
+// A right multiply hands each shard a disjoint slice of the output (the
+// gather is free, and pooled/unpooled runs are bitwise identical); a left
+// multiply collects one partial per shard and sums the partials in shard
+// order, so the reduction is deterministic with and without a pool. When
+// a pool is present, the shards a call touches run in parallel and each
 // shard kernel runs sequentially inside its task; with no pool (or one
-// shard) the context is forwarded so a lone shard can still use its own
-// internal parallelism.
+// shard touched) the context is forwarded so a lone shard can still use
+// its own internal parallelism. The batching server runs every batch
+// through this routine, serving an unsharded matrix as a one-shard
+// FromShards.
 //
 // Residency: shards backed by files load lazily (read on first touch,
 // checksum-verified against the manifest) or eagerly at open, and can be
@@ -40,6 +43,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -84,6 +88,23 @@ struct ShardingPolicy {
 
 class MappedFile;
 class SnapshotReader;
+
+/// The side a batch multiplies: y = M x (kRight) or x^t = y^t M (kLeft).
+enum class MvmDirection : u8 { kRight, kLeft };
+
+/// A routine over a batch of k vectors, one input and one output span per
+/// vector (ShardedMatrix::MultiplyBatch, the cluster coordinator's
+/// scatter).
+using BatchRoutine =
+    std::function<void(std::span<const std::span<const double>> in,
+                       std::span<const std::span<double>> out)>;
+
+/// Runs an engine multi-vector call through a batch routine. The engine
+/// keeps vector j in column j (right: x is cols x k, y rows x k) or row j
+/// (left: x is k x rows, y k x cols); the vectors are copied out of x into
+/// spans, and the outputs back into y, which must already have its shape.
+void MultiplyMultiByBatch(MvmDirection dir, const DenseMatrix& x,
+                          DenseMatrix* y, const BatchRoutine& run);
 
 class ShardedMatrix final : public IMatrixKernel {
  public:
@@ -159,62 +180,56 @@ class ShardedMatrix final : public IMatrixKernel {
   }
   std::string FormatTag() const override { return manifest_.FormatTag(); }
 
+  /// The four engine kernels are MultiplyBatch over the full row range
+  /// (a multi-vector call copies its DenseMatrix columns or rows in and
+  /// out of spans; MultiplyMultiByBatch).
   void MultiplyRightInto(std::span<const double> x, std::span<double> y,
                          const MulContext& ctx) const override;
   void MultiplyLeftInto(std::span<const double> y, std::span<double> x,
                         const MulContext& ctx) const override;
-
-  /// Multi-vector kernels (the batching server's execution grain): the
-  /// whole batch scatters once per shard. Right: shard i computes its
-  /// rows x k block straight into the output rows it owns. Left: each
-  /// shard contributes a k x cols partial, summed in shard order, so the
-  /// reduction stays deterministic with and without a pool. Vector j of
-  /// either result is bitwise identical to the sequential single-vector
-  /// kernel on input j.
   void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
                           const MulContext& ctx) const override;
   void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
                          const MulContext& ctx) const override;
 
-  /// Row-range kernels -- the serving path's admission-aware shard touch:
-  /// only shards overlapping [row_begin, row_end) are acquired, so a range
-  /// query against a residency-limited store faults in exactly the shards
-  /// it needs. `y` holds row_end - row_begin entries (RangeInto); the
-  /// RangeMulti result is (row_end - row_begin) x k. Requires
-  /// row_begin < row_end <= rows(). The full range is bitwise identical to
-  /// MultiplyRightInto / MultiplyRightMulti.
+  /// The one scatter/gather routine: multiplies a batch of k vectors, one
+  /// span each, by the rows [row_begin, row_end).
+  ///   right: out[j] = M[row_begin:row_end, :] in[j]; in[j] holds cols()
+  ///          entries, out[j] row_end - row_begin.
+  ///   left:  out[j] = in[j]^t M[row_begin:row_end, :]; in[j] holds
+  ///          row_end - row_begin entries, out[j] cols(). The range must be
+  ///          shard-aligned (RangeAlignedToShards).
+  /// Only shards overlapping the range are acquired, so a range query
+  /// against a residency-limited store faults in exactly the shards it
+  /// needs. With a pool and more than one such shard, shards run in
+  /// parallel and each shard kernel runs sequentially inside its task;
+  /// otherwise the context is forwarded, so a lone shard can still use
+  /// its own internal parallelism. Right: when k = 1 a shard the range
+  /// covers writes straight into out[0]; a partly covered shard, and every
+  /// shard of a k > 1 batch, computes all its rows into scratch whose rows
+  /// in range are copied out. Left: out[j] is zeroed,
+  /// then each shard's partial is added in shard order. Both gathers are
+  /// bitwise identical with and without a pool, vector j is bitwise
+  /// identical to a k = 1 call on in[j], and a k = 1 call reaches each
+  /// shard's single-vector kernel. Throws gcm::Error on an invalid or
+  /// misaligned range and on mis-sized spans.
+  void MultiplyBatch(MvmDirection dir, std::size_t row_begin,
+                     std::size_t row_end,
+                     std::span<const std::span<const double>> in,
+                     std::span<const std::span<double>> out,
+                     const MulContext& ctx = {}) const;
+
+  /// A one-vector right MultiplyBatch: y holds row_end - row_begin
+  /// entries.
   void MultiplyRightRangeInto(std::span<const double> x, std::span<double> y,
                               std::size_t row_begin, std::size_t row_end,
                               const MulContext& ctx = {}) const;
-  DenseMatrix MultiplyRightRangeMulti(const DenseMatrix& x,
-                                      std::size_t row_begin,
-                                      std::size_t row_end,
-                                      const MulContext& ctx = {}) const;
 
   /// True when [row_begin, row_end) is a valid range that starts on some
   /// shard's first row and ends on some shard's last row -- the ranges a
-  /// partial left multiply can serve (shards tile contiguously, so an
-  /// aligned range covers whole shards exactly).
+  /// left multiply can serve (shards tile contiguously, so an aligned
+  /// range covers whole shards exactly).
   bool RangeAlignedToShards(std::size_t row_begin, std::size_t row_end) const;
-
-  /// Partial left multiply over the rows in [row_begin, row_end): x gets
-  /// y^t M[row_begin:row_end, :] where y holds row_end - row_begin
-  /// entries. Requires a shard-aligned range; only overlapping shards are
-  /// touched. The partial of a one-shard range is written directly (not
-  /// zero+add), so it is bitwise identical to the term MultiplyLeftInto
-  /// folds for that shard -- which is what keeps a cluster-gathered left
-  /// multiply (coordinator summing per-shard partials in manifest order)
-  /// bitwise equal to the local kernel.
-  void MultiplyLeftRangeInto(std::span<const double> y, std::span<double> x,
-                             std::size_t row_begin, std::size_t row_end,
-                             const MulContext& ctx = {}) const;
-
-  /// Batched analog: x is k x (row_end - row_begin), result is k x cols,
-  /// vector j bitwise identical to MultiplyLeftRangeInto on row j of x.
-  DenseMatrix MultiplyLeftRangeMulti(const DenseMatrix& x,
-                                     std::size_t row_begin,
-                                     std::size_t row_end,
-                                     const MulContext& ctx = {}) const;
 
   DenseMatrix ToDense() const override;
 

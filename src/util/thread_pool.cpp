@@ -62,7 +62,11 @@ struct ParallelForState {
       bool last;
       {
         std::lock_guard<std::mutex> lock(mu);
-        if (error && !first_error) first_error = error;
+        // Hand the error over (or drop a losing one) inside the lock: once
+        // `finished` reaches `count` the caller may rethrow and destroy
+        // the exception, so no reference may outlive this section.
+        if (error && !first_error) first_error = std::move(error);
+        error = nullptr;
         ++finished;
         // Claim accounting: each claimed index is finished exactly once,
         // so the completion count can never pass the range size.
@@ -152,6 +156,7 @@ void ThreadPool::ParallelFor(std::size_t count,
     }
   }
   state->Drain();
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->all_done.wait(lock,
@@ -160,8 +165,12 @@ void ThreadPool::ParallelFor(std::size_t count,
     // every index was claimed AND finished -- never more, never fewer.
     GCM_DCHECK(state->finished == state->count);
     GCM_DCHECK(state->next.load(std::memory_order_relaxed) >= state->count);
+    // Taken out under the lock: a helper task may hold the state after
+    // this call returns, and must not share the exception the caller is
+    // reading.
+    error = std::move(state->first_error);
   }
-  if (state->first_error) std::rethrow_exception(state->first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace gcm

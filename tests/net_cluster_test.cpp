@@ -261,7 +261,10 @@ TEST(ClusterProtocolTest, RangedLeftMatchesLocalRangeKernelBitwise) {
     std::vector<double> served =
         client.MvmLeft(y, shard.row_begin, shard.row_end);
     std::vector<double> local(m.cols());
-    sharded->MultiplyLeftRangeInto(y, local, shard.row_begin, shard.row_end);
+    std::span<const double> in(y);
+    std::span<double> out(local);
+    sharded->MultiplyBatch(MvmDirection::kLeft, shard.row_begin,
+                           shard.row_end, {&in, 1}, {&out, 1});
     EXPECT_TRUE(BitwiseEqual(served, local))
         << "range [" << shard.row_begin << ", " << shard.row_end << ")";
   }

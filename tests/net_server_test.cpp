@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -100,7 +101,7 @@ TEST(NetServerTest, RightAndLeftMatchLocalOracleBitwise) {
   for (const char* spec :
        {"dense", "csrv", "gcm:re_32", "sharded?inner=csr&shards=3"}) {
     AnyMatrix m = AnyMatrix::Build(dense, spec);
-    TestServer ts(m, ServerConfig{.batching = false});
+    TestServer ts(m, ServerConfig{.batch_max = 1});
     Client client = ts.Connect();
 
     std::vector<double> x = RandomVector(m.cols(), 11);
@@ -117,7 +118,7 @@ TEST(NetServerTest, RowRangeMatchesSliceOfLocalOracle) {
   DenseMatrix dense = TestDense();
   for (const char* spec : {"csr", "sharded?inner=csrv&shards=4"}) {
     AnyMatrix m = AnyMatrix::Build(dense, spec);
-    TestServer ts(m, ServerConfig{.batching = false});
+    TestServer ts(m, ServerConfig{.batch_max = 1});
     Client client = ts.Connect();
     std::vector<double> x = RandomVector(m.cols(), 21);
     std::vector<double> local = m.MultiplyRight(x);
@@ -144,8 +145,7 @@ void CheckBatchingBitwise(const AnyMatrix& m) {
   // A wide-open window + batch_max == kBatch makes the batch composition
   // deterministic: the dispatcher holds the first request until all four
   // pipelined ones have joined, then dispatches exactly once.
-  TestServer ts(m, ServerConfig{.batching = true,
-                                .batch_max = kBatch,
+  TestServer ts(m, ServerConfig{.batch_max = kBatch,
                                 .batch_window_ms = 1000.0});
   Client client = ts.Connect();
   std::vector<std::vector<double>> inputs;
@@ -191,8 +191,7 @@ TEST(NetServerTest, BatchedRepliesBitwiseIdenticalSharded) {
 
 TEST(NetServerTest, BatchedRangeRepliesBitwiseIdentical) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "sharded?inner=csr&shards=4");
-  TestServer ts(m, ServerConfig{.batching = true,
-                                .batch_max = 3,
+  TestServer ts(m, ServerConfig{.batch_max = 3,
                                 .batch_window_ms = 1000.0});
   Client client = ts.Connect();
   std::vector<double> local = m.MultiplyRight(RandomVector(m.cols(), 31));
@@ -213,13 +212,93 @@ TEST(NetServerTest, BatchedRangeRepliesBitwiseIdentical) {
   }
 }
 
+/// The local single-vector answer the server's ranged replies must equal.
+std::vector<double> LocalRange(const AnyMatrix& m, MvmDirection dir,
+                               u64 begin, u64 end,
+                               const std::vector<double>& x) {
+  const ShardedMatrix* sharded = ShardedMatrix::FromKernel(m.kernel());
+  std::vector<double> y(dir == MvmDirection::kRight ? end - begin : m.cols());
+  std::span<const double> in(x);
+  std::span<double> out(y);
+  sharded->MultiplyBatch(dir, begin, end, {&in, 1}, {&out, 1});
+  return y;
+}
+
+TEST(NetServerTest, BatchedAlignedLeftRangeRepliesBitwiseIdentical) {
+  AnyMatrix m = AnyMatrix::Build(TestDense(), "sharded?inner=csr&shards=4");
+  TestServer ts(m, ServerConfig{.batch_max = 3, .batch_window_ms = 1000.0});
+  Client client = ts.Connect();
+  // Rows [15, 45) are shards 1 and 2 of the four 15-row shards.
+  std::vector<std::vector<double>> inputs;
+  std::vector<u64> ids;
+  for (std::size_t j = 0; j < 3; ++j) {
+    inputs.push_back(RandomVector(30, 61 + j));
+    ids.push_back(client.SendMvmLeft(inputs[j], 15, 45));
+  }
+  for (std::size_t j = 0; j < 3; ++j) {
+    Client::Response response = client.Await(ids[j]);
+    ASSERT_EQ(response.type, MsgType::kMvmReply) << response.message;
+    std::vector<double> single =
+        LocalRange(m, MvmDirection::kLeft, 15, 45, inputs[j]);
+    ASSERT_EQ(response.values.size(), m.cols());
+    EXPECT_EQ(std::memcmp(response.values.data(), single.data(),
+                          single.size() * sizeof(double)),
+              0)
+        << "request " << j;
+  }
+  EXPECT_EQ(client.Info().max_batch, 3u);
+}
+
+TEST(NetServerTest, PooledServerAnswersRangeRequestsBitwise) {
+  AnyMatrix m = AnyMatrix::Build(TestDense(), "sharded?inner=csr&shards=4");
+  // kernel_threads = 2: every range touching more than one shard scatters
+  // its shards over the pool; the answers must equal the sequential ones.
+  TestServer ts(m, ServerConfig{.batch_max = 2,
+                                .batch_window_ms = 1000.0,
+                                .kernel_threads = 2});
+  Client client = ts.Connect();
+  struct Range {
+    MvmDirection dir;
+    u64 begin;
+    u64 end;
+  };
+  for (const Range& r : {Range{MvmDirection::kRight, 7, 52},
+                         Range{MvmDirection::kRight, 16, 29},
+                         Range{MvmDirection::kLeft, 15, 45},
+                         Range{MvmDirection::kLeft, 0, 60}}) {
+    const bool right = r.dir == MvmDirection::kRight;
+    // Two pipelined requests per range form one batch of two.
+    std::vector<std::vector<double>> inputs;
+    std::vector<u64> ids;
+    for (std::size_t j = 0; j < 2; ++j) {
+      inputs.push_back(
+          RandomVector(right ? m.cols() : r.end - r.begin, 71 + r.begin + j));
+      ids.push_back(right ? client.SendMvmRight(inputs[j], r.begin, r.end)
+                          : client.SendMvmLeft(inputs[j], r.begin, r.end));
+    }
+    for (std::size_t j = 0; j < 2; ++j) {
+      Client::Response response = client.Await(ids[j]);
+      ASSERT_EQ(response.type, MsgType::kMvmReply) << response.message;
+      std::vector<double> single =
+          LocalRange(m, r.dir, r.begin, r.end, inputs[j]);
+      ASSERT_EQ(response.values.size(), single.size());
+      EXPECT_EQ(std::memcmp(response.values.data(), single.data(),
+                            single.size() * sizeof(double)),
+                0)
+          << (right ? "right [" : "left [") << r.begin << ", " << r.end
+          << ") request " << j;
+    }
+  }
+  EXPECT_EQ(client.Info().max_batch, 2u);
+}
+
 // --------------------------------------------------------------------------
 // Request-level errors: named reply, connection stays usable
 // --------------------------------------------------------------------------
 
 TEST(NetServerTest, DimensionMismatchIsNamedAndRecoverable) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m, ServerConfig{.batch_max = 1});
   Client client = ts.Connect();
   std::vector<double> wrong(m.cols() + 3, 1.0);
   Client::Response response = client.Await(client.SendMvmRight(wrong));
@@ -232,7 +311,7 @@ TEST(NetServerTest, DimensionMismatchIsNamedAndRecoverable) {
 
 TEST(NetServerTest, BadRowRangeIsNamed) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m, ServerConfig{.batch_max = 1});
   Client client = ts.Connect();
   std::vector<double> x = RandomVector(m.cols(), 51);
   // end beyond rows, inverted range, and a range on a left multiply.
@@ -254,7 +333,7 @@ TEST(NetServerTest, BadRowRangeIsNamed) {
 
 TEST(NetServerTest, MalformedPayloadIsNamedAndRecoverable) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m, ServerConfig{.batch_max = 1});
   Client client = ts.Connect();
   // A well-framed request whose body is garbage: header + CRC valid, so
   // only the payload codec can reject it.
@@ -268,7 +347,7 @@ TEST(NetServerTest, MalformedPayloadIsNamedAndRecoverable) {
 
 TEST(NetServerTest, ResponseTypeRequestIsRejectedButKeepsConnection) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m, ServerConfig{.batch_max = 1});
   Client client = ts.Connect();
   WriteFrame(client.socket(), MsgType::kMvmReply, 5, {});
   Client::Response response = client.Await(5);
@@ -444,7 +523,7 @@ TEST(NetServerTest, RangeRequestsTouchOnlyOverlappingShards) {
   ASSERT_NE(sharded, nullptr);
   ASSERT_EQ(sharded->LoadedShardCount(), 0u);
 
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m, ServerConfig{.batch_max = 1});
   Client client = ts.Connect();
   std::vector<double> x = RandomVector(m.cols(), 91);
   std::vector<double> served = client.MvmRight(x, 25, 35);  // shards 2 and 3
@@ -473,7 +552,7 @@ TEST(NetServerTest, ResidencyLimitBoundsTheWorkingSet) {
   }
   ASSERT_GT(smallest, 0u);
 
-  TestServer ts(m, ServerConfig{.batching = false,
+  TestServer ts(m, ServerConfig{.batch_max = 1,
                                 .max_resident_bytes = 2 * smallest});
   Client client = ts.Connect();
   for (int round = 0; round < 3; ++round) {
@@ -500,8 +579,7 @@ TEST(NetServerTest, ConcurrentMixedWorkloadServesEveryoneCorrectly) {
   // kernel_threads = 2 exercises the pooled shard scatter under serving
   // concurrency; the sharded kernels are bitwise pool-invariant, so the
   // oracle assertions still hold exactly.
-  TestServer ts(m, ServerConfig{.batching = true,
-                                .batch_max = 8,
+  TestServer ts(m, ServerConfig{.batch_max = 8,
                                 .batch_window_ms = 0.2,
                                 .kernel_threads = 2});
   constexpr std::size_t kThreads = 8;

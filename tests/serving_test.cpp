@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -50,6 +51,27 @@ const ShardedMatrix& Sharded(const AnyMatrix& m) {
   const ShardedMatrix* sharded = ShardedMatrix::FromKernel(m.kernel());
   EXPECT_NE(sharded, nullptr) << m.FormatTag();
   return *sharded;
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// One MultiplyBatch call over owned vectors: out[j] for in[j].
+std::vector<std::vector<double>> RunBatch(
+    const ShardedMatrix& sharded, MvmDirection dir, std::size_t begin,
+    std::size_t end, const std::vector<std::vector<double>>& xs,
+    const MulContext& ctx) {
+  const std::size_t out_size =
+      dir == MvmDirection::kRight ? end - begin : sharded.cols();
+  std::vector<std::vector<double>> ys(xs.size(),
+                                      std::vector<double>(out_size));
+  std::vector<std::span<const double>> in(xs.begin(), xs.end());
+  std::vector<std::span<double>> out(ys.begin(), ys.end());
+  sharded.MultiplyBatch(dir, begin, end, in, out, ctx);
+  return ys;
 }
 
 ShardManifest SmallManifest() {
@@ -442,6 +464,104 @@ TEST(ShardedMatrixTest, FromShardsValidatesShape) {
   mismatched.push_back(AnyMatrix::Wrap(DenseMatrix(b)));
   EXPECT_THROW(ShardedMatrix::FromShards(3, std::move(mismatched)), Error);
   EXPECT_THROW(ShardedMatrix::FromShards(3, {}), Error);
+}
+
+
+// --------------------------------------------------------------------------
+// MultiplyBatch: the one scatter/gather routine over (direction, row range,
+// k vectors)
+// --------------------------------------------------------------------------
+
+TEST(ShardedMatrixTest, PooledAndSequentialRangeBatchesAreBitwiseEqual) {
+  DenseMatrix dense = TestMatrix();  // 60 rows
+  AnyMatrix m = AnyMatrix::Build(dense, "sharded?inner=gcm:re_32&shards=4");
+  const ShardedMatrix& sharded = Sharded(m);  // shards of 15 rows
+  ThreadPool pool(3);
+  struct Case {
+    MvmDirection dir;
+    std::size_t begin;
+    std::size_t end;
+  };
+  // Right: partly covered shards at both ends, a range inside one shard,
+  // the full range. Left (shard-aligned only): two shards, one shard, all.
+  for (const Case& c : {Case{MvmDirection::kRight, 7, 52},
+                        Case{MvmDirection::kRight, 16, 29},
+                        Case{MvmDirection::kRight, 0, 60},
+                        Case{MvmDirection::kLeft, 15, 45},
+                        Case{MvmDirection::kLeft, 30, 45},
+                        Case{MvmDirection::kLeft, 0, 60}}) {
+    const bool right = c.dir == MvmDirection::kRight;
+    const std::string where = std::string(right ? "right" : "left") + " [" +
+                              std::to_string(c.begin) + ", " +
+                              std::to_string(c.end) + ")";
+    for (std::size_t k : {1u, 3u}) {
+      std::vector<std::vector<double>> xs;
+      for (std::size_t j = 0; j < k; ++j) {
+        xs.push_back(RandomVector(right ? m.cols() : c.end - c.begin,
+                                  300 + 10 * k + j));
+      }
+      auto sequential = RunBatch(sharded, c.dir, c.begin, c.end, xs, {});
+      auto pooled = RunBatch(sharded, c.dir, c.begin, c.end, xs, {&pool});
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_TRUE(BitwiseEqual(pooled[j], sequential[j]))
+            << where << " k=" << k << " vector " << j;
+        // Vector j of a batch is the k = 1 call on its input.
+        auto single = RunBatch(sharded, c.dir, c.begin, c.end, {xs[j]}, {});
+        EXPECT_TRUE(BitwiseEqual(sequential[j], single[0]))
+            << where << " k=" << k << " vector " << j;
+        if (right) {
+          // A right range is rows of the full multiply.
+          std::vector<double> full = m.MultiplyRight(xs[j]);
+          EXPECT_TRUE(BitwiseEqual(
+              sequential[j],
+              std::vector<double>(
+                  full.begin() + static_cast<std::ptrdiff_t>(c.begin),
+                  full.begin() + static_cast<std::ptrdiff_t>(c.end))))
+              << where;
+        } else if (c.begin == 0 && c.end == m.rows()) {
+          EXPECT_TRUE(BitwiseEqual(sequential[j], m.MultiplyLeft(xs[j])))
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedMatrixTest, PooledRangeFaultsInOnlyOverlappingShards) {
+  DenseMatrix dense = TestMatrix();
+  std::string dir = TestTempPath("pooled_range");
+  MatrixStore::Partition(dense, "csr", {.shards = 6}, dir);  // 10 rows each
+  AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
+  const ShardedMatrix& sharded = Sharded(m);
+  ThreadPool pool(3);
+  std::vector<double> x = RandomVector(m.cols(), 71);
+  std::vector<double> y(10);
+  sharded.MultiplyRightRangeInto(x, y, 25, 35, {&pool});  // shards 2 and 3
+  EXPECT_EQ(sharded.LoadedShardCount(), 2u);
+  EXPECT_TRUE(sharded.ShardResident(2));
+  EXPECT_TRUE(sharded.ShardResident(3));
+}
+
+TEST(ShardedMatrixTest, BatchRejectsBadRangesAndShapes) {
+  AnyMatrix m = AnyMatrix::Build(TestMatrix(), "sharded?inner=csr&shards=4");
+  const ShardedMatrix& sharded = Sharded(m);
+  std::vector<double> x = RandomVector(m.cols(), 81);
+  std::vector<double> y(10);
+  // Inverted, empty and out-of-bounds ranges.
+  EXPECT_THROW(sharded.MultiplyRightRangeInto(x, y, 20, 10), Error);
+  EXPECT_THROW(sharded.MultiplyRightRangeInto(x, y, 10, 10), Error);
+  EXPECT_THROW(sharded.MultiplyRightRangeInto(x, y, 55, 65), Error);
+  // An output span of the wrong size.
+  EXPECT_THROW(sharded.MultiplyRightRangeInto(x, y, 0, 11), Error);
+  // A left range that does not start and end on shard boundaries.
+  EXPECT_FALSE(sharded.RangeAlignedToShards(1, 15));
+  std::vector<double> in(14, 1.0);
+  std::vector<double> out(m.cols());
+  std::span<const double> in_span(in);
+  std::span<double> out_span(out);
+  EXPECT_THROW(sharded.MultiplyBatch(MvmDirection::kLeft, 1, 15,
+                                     {&in_span, 1}, {&out_span, 1}),
+               Error);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 //
 //   * multiplies racing shard eviction (Acquire hands out shared handles,
 //     so an evicted shard must never invalidate an in-flight kernel),
+//     including pooled row-range batches,
 //   * many threads first-touching a lazily opened store at once (the
 //     double-checked per-shard load under ShardState::mu),
 //   * nested pooled builds hammering ParallelFor's shared claim counter.
@@ -21,6 +22,7 @@
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,6 +171,63 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
     std::vector<double> y(dense.rows());
     m.MultiplyRightInto(x, y, MulContext{&pool});
     if (y != want) mismatches.fetch_add(1);
+  }
+  stop.store(true);
+  evictor.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(TsanStressTest, PooledRangeBatchesRaceEviction) {
+  // Range batches scatter the shards they overlap over a pool while
+  // byte-budget eviction drops those shards: right ranges that partly
+  // cover shards (k = 1 and k = 3) and a shard-aligned left range.
+  DenseMatrix dense = StressMatrix();  // 96 rows
+  std::string dir = TestTempPath("pooled_range_vs_evict");
+  MatrixStore::Partition(dense, "gcm:re_32", {.shards = 6}, dir);  // 16 each
+  AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
+  const ShardedMatrix& sharded = Sharded(m);
+  ThreadPool pool(3);
+
+  struct Case {
+    MvmDirection dir;
+    std::size_t begin;
+    std::size_t end;
+    std::size_t k;
+  };
+  const Case cases[] = {{MvmDirection::kRight, 5, 70, 1},
+                        {MvmDirection::kRight, 20, 90, 3},
+                        {MvmDirection::kLeft, 16, 80, 1}};
+  auto run = [&](const Case& c, const MulContext& ctx) {
+    const bool right = c.dir == MvmDirection::kRight;
+    std::vector<std::vector<double>> xs;
+    std::vector<std::vector<double>> ys;
+    for (std::size_t j = 0; j < c.k; ++j) {
+      xs.push_back(RandomVector(right ? dense.cols() : c.end - c.begin,
+                                20 + j));
+      ys.emplace_back(right ? c.end - c.begin : dense.cols());
+    }
+    std::vector<std::span<const double>> in(xs.begin(), xs.end());
+    std::vector<std::span<double>> out(ys.begin(), ys.end());
+    sharded.MultiplyBatch(c.dir, c.begin, c.end, in, out, ctx);
+    return ys;
+  };
+  // Sequential baselines before any eviction; pooled batches are bitwise
+  // equal to them under every interleaving.
+  std::vector<std::vector<std::vector<double>>> want;
+  for (const Case& c : cases) want.push_back(run(c, MulContext{}));
+  const u64 one_shard = sharded.ResidentPayloadBytes() / sharded.shard_count();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::thread evictor([&] {
+    while (!stop.load()) sharded.EvictToResidentBytes(one_shard);
+  });
+  for (int it = 0; it < 20; ++it) {
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+      if (run(cases[i], MulContext{&pool}) != want[i]) {
+        mismatches.fetch_add(1);
+      }
+    }
   }
   stop.store(true);
   evictor.join();
