@@ -115,7 +115,7 @@ double RunClientDemo(const AnyMatrix& oracle, u16 port,
               static_cast<unsigned long long>(info.rows),
               static_cast<unsigned long long>(info.cols),
               FormatBytes(info.compressed_bytes).c_str(),
-              info.batching != 0 ? "on" : "off");
+              info.batch_max > 1 ? "on" : "off");
 
   Rng rng(777);
   const std::size_t depth = 4;  // pipelined window: batching fodder

@@ -57,14 +57,15 @@ concept HasPoolInto = requires(const M& m, std::span<const double> in,
 };
 
 /// Matches backends with native multi-vector kernels that amortize work
-/// across the batch (GcMatrix / BlockedGcMatrix share one expansion of the
-/// grammar for all k columns). The rest fall back to the per-vector loop
-/// default, which preserves the bitwise-per-vector contract trivially.
+/// across the batch (GcMatrix: one pass over R and C with k-wide
+/// accumulators, writing into the caller's block). The rest, the blocked
+/// grammar container included, fall back to the per-vector loop default,
+/// which preserves the bitwise-per-vector contract trivially.
 template <typename M>
 concept HasNativeMulti = requires(const M& m, const DenseMatrix& x,
-                                  ThreadPool* pool) {
-  m.MultiplyRightMulti(x, pool);
-  m.MultiplyLeftMulti(x, pool);
+                                  DenseMatrix* y, ThreadPool* pool) {
+  m.MultiplyRightMulti(x, y, pool);
+  m.MultiplyLeftMulti(x, y, pool);
 };
 
 template <typename M>
@@ -138,7 +139,7 @@ class KernelAdapter final : public IMatrixKernel {
   void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
                           const MulContext& ctx) const override {
     if constexpr (HasNativeMulti<M>) {
-      *y = matrix_->MultiplyRightMulti(x, ctx.pool);
+      matrix_->MultiplyRightMulti(x, y, ctx.pool);
     } else {
       IMatrixKernel::MultiplyRightMulti(x, y, ctx);
     }
@@ -147,7 +148,7 @@ class KernelAdapter final : public IMatrixKernel {
   void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
                          const MulContext& ctx) const override {
     if constexpr (HasNativeMulti<M>) {
-      *y = matrix_->MultiplyLeftMulti(x, ctx.pool);
+      matrix_->MultiplyLeftMulti(x, y, ctx.pool);
     } else {
       IMatrixKernel::MultiplyLeftMulti(x, y, ctx);
     }

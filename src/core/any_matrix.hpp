@@ -123,9 +123,11 @@ class IMatrixKernel {
   /// Multi-vector kernels: Y = M X (X: cols x k, Y: rows x k) and
   /// Y = X M (X: k x rows, Y: k x cols); outputs are fully overwritten.
   /// The defaults loop the single-vector *Into kernels one input vector at
-  /// a time; backends that can amortize work across vectors (the grammar
-  /// family shares one expansion of C and R for all k columns, sharded
-  /// matrices scatter whole batches) override them. Contract the batching
+  /// a time; backends that can amortize work across vectors override them
+  /// (a single GcMatrix block makes one pass over R and C with k-wide
+  /// accumulators; sharded and cluster matrices scatter whole batches).
+  /// The blocked grammar container has no native multi-vector kernel and
+  /// answers a batch with k single-vector calls. Contract the batching
   /// server relies on: vector j of the result is bitwise identical to a
   /// sequential single-vector call on input j, so coalescing requests
   /// never changes anyone's answer.
@@ -270,9 +272,10 @@ class AnyMatrix {
 
   /// Multi-vector kernels (the batching server's execution grain): one
   /// call answers k requests, amortizing grammar expansion across the
-  /// batch. Right: X is cols x k, result rows x k. Left: X is k x rows,
-  /// result k x cols. Vector j of the result is bitwise identical to the
-  /// corresponding sequential single-vector call.
+  /// batch where the backend can (see IMatrixKernel). Right: X is cols x
+  /// k, result rows x k. Left: X is k x rows, result k x cols. Vector j of
+  /// the result is bitwise identical to the corresponding sequential
+  /// single-vector call.
   DenseMatrix MultiplyRightMulti(const DenseMatrix& x,
                                  const MulContext& ctx = {}) const;
   DenseMatrix MultiplyLeftMulti(const DenseMatrix& x,

@@ -552,20 +552,23 @@ void GcMatrix::MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
                                   << " rows, expected " << rows_);
 }
 
-DenseMatrix GcMatrix::MultiplyRightMulti(const DenseMatrix& x,
-                                         ThreadPool* pool) const {
+void GcMatrix::MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
+                                  ThreadPool* pool) const {
   GCM_CHECK_MSG(x.rows() == cols_,
                 "MultiplyRightMulti: X has " << x.rows() << " rows, expected "
                                              << cols_);
-  DenseMatrix y(rows_, x.cols());
+  GCM_CHECK_MSG(y->rows() == rows_ && y->cols() == x.cols(),
+                "MultiplyRightMulti: Y is " << y->rows() << "x" << y->cols()
+                                            << ", expected " << rows_ << "x"
+                                            << x.cols());
   // Batches write disjoint column ranges of y, so they can run in parallel.
+  // Every row closes with a sentinel, so each batch overwrites its columns.
   ForEachColumnBatch(x.cols(), pool, [&](std::size_t t0, std::size_t t1) {
-    MultiplyRightMultiRange(x, &y, t0, t1);
+    MultiplyRightMultiRange(x, y, t0, t1);
   });
-  return y;
 }
 
-void GcMatrix::MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* out,
+void GcMatrix::MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* y,
                                       std::size_t t0, std::size_t t1) const {
   const std::size_t kb = t1 - t0;  // batch width
   const std::vector<double>& dict = *dict_;
@@ -588,11 +591,14 @@ void GcMatrix::MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* out,
       u32 column = packed - value_id * cols;
       // Output columns are strided by cols, so this scatter stays scalar.
       for (std::size_t t = 0; t < kb; ++t) {
-        out->Set(t0 + t, column,
-                 out->At(t0 + t, column) + value * weights[t]);
+        y->Set(t0 + t, column, y->At(t0 + t, column) + value * weights[t]);
       }
     }
   };
+  // The scatter accumulates, so this batch's rows of Y start at zero.
+  for (std::size_t t = t0; t < t1; ++t) {
+    for (std::size_t c = 0; c < cols_; ++c) y->Set(t, c, 0.0);
+  }
   std::vector<double> row_weights(kb);
   ForEachFinalSymbol([&](u32 symbol) {
     if (symbol == kCsrvSentinel) {
@@ -612,18 +618,20 @@ void GcMatrix::MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* out,
   }
 }
 
-DenseMatrix GcMatrix::MultiplyLeftMulti(const DenseMatrix& x,
-                                        ThreadPool* pool) const {
+void GcMatrix::MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
+                                 ThreadPool* pool) const {
   GCM_CHECK_MSG(x.cols() == rows_,
                 "MultiplyLeftMulti: X has " << x.cols()
                                             << " columns, expected " << rows_);
-  DenseMatrix out(x.rows(), cols_);
-  // Batches write disjoint rows of `out` (one per left-hand vector), so
-  // they can run in parallel.
+  GCM_CHECK_MSG(y->rows() == x.rows() && y->cols() == cols_,
+                "MultiplyLeftMulti: Y is " << y->rows() << "x" << y->cols()
+                                           << ", expected " << x.rows() << "x"
+                                           << cols_);
+  // Batches write disjoint rows of y (one per left-hand vector), so they
+  // can run in parallel.
   ForEachColumnBatch(x.rows(), pool, [&](std::size_t t0, std::size_t t1) {
-    MultiplyLeftMultiRange(x, &out, t0, t1);
+    MultiplyLeftMultiRange(x, y, t0, t1);
   });
-  return out;
 }
 
 void GcMatrix::ExpandRuleTerminals(u32 rule, std::vector<u32>* out) const {

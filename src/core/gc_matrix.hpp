@@ -130,20 +130,23 @@ class GcMatrix {
   void MultiplyLeftInto(std::span<const double> y, std::span<double> x,
                         ThreadPool* pool = nullptr) const;
 
-  /// Y = M X for a dense right-hand side X (cols x k): the multi-vector
-  /// generalization of Theorem 3.4. One pass over R and one over C with
-  /// k-wide accumulators; cost O(k(|C| + |R|)), space O(k|R|).
+  /// Y = M X for a dense right-hand side X (cols x k) into the caller's
+  /// Y (rows x k, fully overwritten): the multi-vector generalization of
+  /// Theorem 3.4. One pass over R and one over C with k-wide
+  /// accumulators; cost O(k(|C| + |R|)), auxiliary space O(k|R|).
   /// When `pool` is given, the k columns are split into one batch per
   /// worker and processed in parallel (each batch re-runs the R pass and
   /// the C scan on its own slice, so aux space stays O(k|R|) overall).
-  DenseMatrix MultiplyRightMulti(const DenseMatrix& x,
-                                 ThreadPool* pool = nullptr) const;
+  /// Throws gcm::Error when X or Y has the wrong shape.
+  void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
+                          ThreadPool* pool = nullptr) const;
 
-  /// Y = X M for a dense left-hand side X (k x rows): multi-vector
-  /// generalization of Theorem 3.10. Same column-batch parallelism as
-  /// MultiplyRightMulti when `pool` is given.
-  DenseMatrix MultiplyLeftMulti(const DenseMatrix& x,
-                                ThreadPool* pool = nullptr) const;
+  /// Y = X M for a dense left-hand side X (k x rows) into the caller's Y
+  /// (k x cols, fully overwritten): multi-vector generalization of
+  /// Theorem 3.10. Same column-batch parallelism as MultiplyRightMulti
+  /// when `pool` is given.
+  void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
+                         ThreadPool* pool = nullptr) const;
 
   /// Reconstructs the CSRV sequence S (for verification / decompression).
   std::vector<u32> DecompressSequence() const;
@@ -225,7 +228,7 @@ class GcMatrix {
   /// the unit of work of the pool-parallel Multi drivers.
   void MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
                                std::size_t t0, std::size_t t1) const;
-  void MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* out,
+  void MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* y,
                               std::size_t t0, std::size_t t1) const;
 
   u32 RuleLeft(std::size_t i) const;

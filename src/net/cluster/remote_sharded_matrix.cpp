@@ -43,11 +43,7 @@ std::shared_ptr<RemoteShardedMatrix> RemoteShardedMatrix::Connect(
   std::string last_error = "manifest names no endpoints";
   for (const WorkerEndpoint& worker : DistinctEndpoints(remote->manifest_)) {
     try {
-      Channel& channel = remote->GetChannel(worker);
-      if (!any) {
-        remote->compressed_bytes_ =
-            channel.client->Info().compressed_bytes;
-      }
+      remote->GetChannel(worker);
       any = true;
     } catch (const Error& e) {
       last_error = worker.ToString() + ": " + e.what();
@@ -82,14 +78,14 @@ RemoteShardedMatrix::Channel& RemoteShardedMatrix::GetChannel(
   if (config_.deadline_ms > 0) {
     client.socket().SetRecvTimeout(config_.deadline_ms);
   }
-  HelloRequest hello;
-  hello.required = kCapRowRangeMvm;
-  hello.peer = config_.peer;
-  HelloReply reply = client.Hello(hello);  // error replies throw gcm::Error
-  GCM_CHECK_MSG(reply.rows == manifest_.rows && reply.cols == manifest_.cols,
-                "worker " << key << " serves a " << reply.rows << "x"
-                          << reply.cols << " matrix but the manifest expects "
+  // The handshake is one Info round trip: a peer speaking another protocol
+  // version is refused at its frame header, and error replies throw.
+  ServerInfo info = client.Info();
+  GCM_CHECK_MSG(info.rows == manifest_.rows && info.cols == manifest_.cols,
+                "worker " << key << " serves a " << info.rows << "x"
+                          << info.cols << " matrix but the manifest expects "
                           << manifest_.rows << "x" << manifest_.cols);
+  compressed_bytes_.store(info.compressed_bytes, std::memory_order_relaxed);
 
   Channel channel;
   channel.client = std::make_unique<Client>(std::move(client));
@@ -113,7 +109,6 @@ void RemoteShardedMatrix::SleepBackoff(Backoff& backoff) const {
 void RemoteShardedMatrix::SendJob(RangeJob& job, bool right,
                                   Backoff& backoff) const {
   const ClusterRange& range = manifest_.ranges[job.range];
-  NetError last = NetError::kNoReplica;
   std::string detail = "no send attempted";
   while (job.attempt < config_.max_attempts) {
     const WorkerEndpoint& worker =
@@ -145,11 +140,12 @@ void RemoteShardedMatrix::SendJob(RangeJob& job, bool right,
       if (job.attempt < config_.max_attempts) SleepBackoff(backoff);
     }
   }
-  throw RpcError(last, "range [" + std::to_string(range.row_begin) + ", " +
-                           std::to_string(range.row_end) +
-                           "): no replica accepted the request after " +
-                           std::to_string(config_.max_attempts) +
-                           " attempts (last: " + detail + ")");
+  throw RpcError(NetError::kNoReplica,
+                 "range [" + std::to_string(range.row_begin) + ", " +
+                     std::to_string(range.row_end) +
+                     "): no replica accepted the request after " +
+                     std::to_string(config_.max_attempts) +
+                     " attempts (last: " + detail + ")");
 }
 
 void RemoteShardedMatrix::GatherJob(RangeJob& job, bool right,
@@ -219,15 +215,13 @@ void RemoteShardedMatrix::GatherJob(RangeJob& job, bool right,
       SleepBackoff(backoff);
       continue;
     }
-    // Anything else (dimension mismatch, bad range, capability problems)
-    // is a configuration or software error retries cannot fix.
+    // Anything else (dimension mismatch, bad range) is a configuration or
+    // software error retries cannot fix.
     throw RpcError(response.error,
                    "worker " + job.channel_key + " answered " +
                        NetErrorName(response.error) + ": " + response.message);
   }
-  throw RpcError(last == NetError::kDeadlineExceeded
-                     ? NetError::kDeadlineExceeded
-                     : last,
+  throw RpcError(last,
                  "range [" + std::to_string(range.row_begin) + ", " +
                      std::to_string(range.row_end) +
                      "): no replica could serve after " +

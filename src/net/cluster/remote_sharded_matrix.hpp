@@ -29,11 +29,14 @@
 // kDeadlineExceeded when the last failure was a timeout) -- which a
 // coordinator Server forwards to its clients as a named error frame.
 //
-// Connections hello-handshake on open (protocol version + capability bits
-// + dimension check against the manifest), so a worker serving the wrong
-// matrix is rejected by name before any row range is routed to it.
+// Each connection opens with one Info round trip: the frame header pins the
+// protocol version, and the reply's dimensions are checked against the
+// manifest, so a worker serving the wrong matrix (or speaking another
+// protocol version) is rejected by name before any row range is routed to
+// it.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -59,8 +62,6 @@ struct ClusterConfig {
   /// deadline itself already consumed the wait).
   BackoffPolicy backoff{};
   u64 backoff_seed = 0;
-  /// Identity string sent in the hello handshake.
-  std::string peer = "coordinator";
 };
 
 /// Monotonic scatter counters (a consistent snapshot via stats()).
@@ -75,10 +76,10 @@ struct ClusterStats {
 
 class RemoteShardedMatrix final : public IMatrixKernel {
  public:
-  /// Validates the manifest and hello-handshakes every distinct endpoint
-  /// (protocol version, required capabilities, dimensions). Unreachable
-  /// endpoints are tolerated -- their channels reconnect lazily per
-  /// request -- but at least one worker must answer, or this throws.
+  /// Validates the manifest and handshakes every distinct endpoint
+  /// (protocol version, dimensions). Unreachable endpoints are tolerated
+  /// -- their channels reconnect lazily per request -- but at least one
+  /// worker must answer, or this throws.
   static std::shared_ptr<RemoteShardedMatrix> Connect(
       ClusterManifest manifest, ClusterConfig config = {});
 
@@ -86,9 +87,11 @@ class RemoteShardedMatrix final : public IMatrixKernel {
 
   std::size_t rows() const override { return manifest_.rows; }
   std::size_t cols() const override { return manifest_.cols; }
-  /// The store size reported by the first worker that answered the
-  /// connect-time handshake (workers serve the same store).
-  u64 CompressedBytes() const override { return compressed_bytes_; }
+  /// The store size reported by the latest channel handshake (workers
+  /// serve the same store).
+  u64 CompressedBytes() const override {
+    return compressed_bytes_.load(std::memory_order_relaxed);
+  }
   std::string FormatTag() const override { return manifest_.FormatTag(); }
 
   void MultiplyRightInto(std::span<const double> x, std::span<double> y,
@@ -111,7 +114,7 @@ class RemoteShardedMatrix final : public IMatrixKernel {
   void DisconnectAll() const;
 
  private:
-  /// One pipelined connection to a worker, hello-validated. The epoch
+  /// One pipelined connection to a worker, handshake-validated. The epoch
   /// lets in-flight jobs detect that their channel was dropped and
   /// re-route instead of awaiting a dead socket.
   struct Channel {
@@ -136,7 +139,8 @@ class RemoteShardedMatrix final : public IMatrixKernel {
   RemoteShardedMatrix(ClusterManifest manifest, ClusterConfig config)
       : manifest_(std::move(manifest)), config_(std::move(config)) {}
 
-  /// Finds or opens (+handshakes) the channel to `worker`. Throws
+  /// Finds or opens the channel to `worker`, handshaking a new one with
+  /// one Info round trip (dimension check, compressed_bytes_). Throws
   /// gcm::Error when the worker is unreachable or fails the handshake.
   Channel& GetChannel(const WorkerEndpoint& worker) const;
   void DropChannel(const std::string& key) const;
@@ -164,7 +168,8 @@ class RemoteShardedMatrix final : public IMatrixKernel {
 
   ClusterManifest manifest_;
   ClusterConfig config_;
-  u64 compressed_bytes_ = 0;
+  /// Written by handshakes under mu_, read by CompressedBytes() without it.
+  mutable std::atomic<u64> compressed_bytes_{0};
 
   /// One mutex serializes multiplies and guards channels_/stats_: the
   /// coordinator's dispatcher is single-threaded, so contention is not a

@@ -32,8 +32,6 @@ bool IsRequestType(MsgType type) {
     case MsgType::kInfo:
     case MsgType::kMvmRight:
     case MsgType::kMvmLeft:
-    case MsgType::kHello:
-    case MsgType::kHealth:
       return true;
     default:
       return false;
@@ -46,14 +44,10 @@ bool IsKnownType(u16 type) {
     case MsgType::kInfo:
     case MsgType::kMvmRight:
     case MsgType::kMvmLeft:
-    case MsgType::kHello:
-    case MsgType::kHealth:
     case MsgType::kPong:
     case MsgType::kInfoReply:
     case MsgType::kMvmReply:
     case MsgType::kError:
-    case MsgType::kHelloReply:
-    case MsgType::kHealthReply:
       return true;
     default:
       return false;
@@ -76,7 +70,6 @@ const char* NetErrorName(NetError code) {
     case NetError::kInternal: return "internal";
     case NetError::kDeadlineExceeded: return "deadline_exceeded";
     case NetError::kNoReplica: return "no_replica";
-    case NetError::kCapabilityMismatch: return "capability_mismatch";
   }
   return "unknown_error";
 }
@@ -189,14 +182,18 @@ void ServerInfo::EncodeTo(ByteWriter* out) const {
   out->PutVarint(compressed_bytes);
   out->PutVarint(shard_count);
   out->PutVarint(resident_shards);
-  out->Put<u8>(batching);
   out->PutVarint(batch_max);
   out->Put<double>(batch_window_ms);
-  out->PutVarint(requests_served);
-  out->PutVarint(batches_dispatched);
-  out->PutVarint(batched_requests);
-  out->PutVarint(max_batch);
-  out->PutVarint(errors_sent);
+  out->Put<u8>(accepting);
+  out->PutVarint(queue_depth);
+  out->PutVarint(stats.connections_accepted);
+  out->PutVarint(stats.requests_admitted);
+  out->PutVarint(stats.replies_sent);
+  out->PutVarint(stats.errors_sent);
+  out->PutVarint(stats.batches_dispatched);
+  out->PutVarint(stats.batched_requests);
+  out->PutVarint(stats.max_batch);
+  out->PutVarint(stats.shard_evictions);
 }
 
 ServerInfo ServerInfo::DecodeFrom(ByteReader* in) {
@@ -207,14 +204,18 @@ ServerInfo ServerInfo::DecodeFrom(ByteReader* in) {
   info.compressed_bytes = in->GetVarint();
   info.shard_count = in->GetVarint();
   info.resident_shards = in->GetVarint();
-  info.batching = in->Get<u8>();
   info.batch_max = in->GetVarint();
   info.batch_window_ms = in->Get<double>();
-  info.requests_served = in->GetVarint();
-  info.batches_dispatched = in->GetVarint();
-  info.batched_requests = in->GetVarint();
-  info.max_batch = in->GetVarint();
-  info.errors_sent = in->GetVarint();
+  info.accepting = in->Get<u8>();
+  info.queue_depth = in->GetVarint();
+  info.stats.connections_accepted = in->GetVarint();
+  info.stats.requests_admitted = in->GetVarint();
+  info.stats.replies_sent = in->GetVarint();
+  info.stats.errors_sent = in->GetVarint();
+  info.stats.batches_dispatched = in->GetVarint();
+  info.stats.batched_requests = in->GetVarint();
+  info.stats.max_batch = in->GetVarint();
+  info.stats.shard_evictions = in->GetVarint();
   CheckFullyConsumed(*in, "ServerInfo");
   return info;
 }
@@ -229,59 +230,6 @@ ErrorReply ErrorReply::DecodeFrom(ByteReader* in) {
   reply.code = static_cast<NetError>(in->Get<u16>());
   reply.message = in->GetString();
   CheckFullyConsumed(*in, "ErrorReply");
-  return reply;
-}
-
-void HelloRequest::EncodeTo(ByteWriter* out) const {
-  out->Put<u16>(version);
-  out->PutVarint(capabilities);
-  out->PutVarint(required);
-  out->PutString(peer);
-}
-
-HelloRequest HelloRequest::DecodeFrom(ByteReader* in) {
-  HelloRequest request;
-  request.version = in->Get<u16>();
-  request.capabilities = in->GetVarint();
-  request.required = in->GetVarint();
-  request.peer = in->GetString();
-  CheckFullyConsumed(*in, "HelloRequest");
-  return request;
-}
-
-void HelloReply::EncodeTo(ByteWriter* out) const {
-  out->Put<u16>(version);
-  out->PutVarint(capabilities);
-  out->PutVarint(rows);
-  out->PutVarint(cols);
-  out->PutString(format_tag);
-}
-
-HelloReply HelloReply::DecodeFrom(ByteReader* in) {
-  HelloReply reply;
-  reply.version = in->Get<u16>();
-  reply.capabilities = in->GetVarint();
-  reply.rows = in->GetVarint();
-  reply.cols = in->GetVarint();
-  reply.format_tag = in->GetString();
-  CheckFullyConsumed(*in, "HelloReply");
-  return reply;
-}
-
-void HealthReply::EncodeTo(ByteWriter* out) const {
-  out->Put<u8>(accepting);
-  out->PutVarint(queue_depth);
-  out->PutVarint(resident_shards);
-  out->PutVarint(requests_served);
-}
-
-HealthReply HealthReply::DecodeFrom(ByteReader* in) {
-  HealthReply reply;
-  reply.accepting = in->Get<u8>();
-  reply.queue_depth = in->GetVarint();
-  reply.resident_shards = in->GetVarint();
-  reply.requests_served = in->GetVarint();
-  CheckFullyConsumed(*in, "HealthReply");
   return reply;
 }
 

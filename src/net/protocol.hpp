@@ -14,12 +14,17 @@
 //    20      4     payload_crc    Crc32 of the payload bytes
 //    24      n     payload        ByteWriter/ByteReader-encoded body
 //
-// Requests: Ping (empty), Info (empty), MvmRight / MvmLeft (MvmRequest),
-// Hello (HelloRequest: version/capability negotiation), Health (empty).
-// Responses: Pong (empty), InfoReply (ServerInfo), MvmReply (values),
-// HelloReply, HealthReply, and Error (ErrorReply: a NetError code +
-// message). Responses echo the request's id, so a pipelined client can
-// match them out of order.
+// Requests: Ping (empty), Info (empty), MvmRight / MvmLeft (MvmRequest).
+// Responses: Pong (empty), InfoReply (ServerInfo), MvmReply (values) and
+// Error (ErrorReply: a NetError code + message). Responses echo the
+// request's id, so a pipelined client can match them out of order.
+//
+// Info is the one introspection frame: identity, config, liveness and the
+// serving counters in one reply. A coordinator's connect handshake is an
+// Info round trip (it checks the dimensions against its manifest), and a
+// health probe is the same call. The version travels in every frame
+// header, so a peer speaking another version is refused by name
+// (bad_version, found vs supported) at its first frame.
 //
 // Error discipline mirrors the snapshot loaders: anything wrong with the
 // *stream* (bad magic, unknown version, oversized length) throws
@@ -45,7 +50,7 @@ namespace gcm {
 
 /// "GCNP" little-endian: GCm Network Protocol.
 inline constexpr u32 kNetMagic = 0x504e4347u;
-inline constexpr u16 kNetProtocolVersion = 1;
+inline constexpr u16 kNetProtocolVersion = 2;
 
 /// Hard cap on a frame payload (64 MiB) -- an admission bound, not a
 /// correctness bound: a hostile length field must not drive allocation.
@@ -57,15 +62,11 @@ enum class MsgType : u16 {
   kInfo = 2,
   kMvmRight = 3,  ///< y = M x, optionally restricted to a row range
   kMvmLeft = 4,   ///< x^t = y^t M, optionally over shard-aligned rows
-  kHello = 5,     ///< version/capability negotiation (HelloRequest)
-  kHealth = 6,    ///< liveness + load probe (empty body)
   // Responses.
   kPong = 64,
   kInfoReply = 65,
   kMvmReply = 66,
   kError = 67,
-  kHelloReply = 68,
-  kHealthReply = 69,
 };
 
 bool IsRequestType(MsgType type);
@@ -85,18 +86,9 @@ enum class NetError : u16 {
   kQueueFull = 9,
   kShuttingDown = 10,
   kInternal = 11,
-  kDeadlineExceeded = 12,    ///< a cluster request missed its deadline
-  kNoReplica = 13,           ///< no replica could serve a row range
-  kCapabilityMismatch = 14,  ///< hello required capabilities we lack
+  kDeadlineExceeded = 12,  ///< a cluster request missed its deadline
+  kNoReplica = 13,         ///< no replica could serve a row range
 };
-
-// Capability bits advertised in the hello handshake. A peer that *requires*
-// a bit this build does not speak is answered with kCapabilityMismatch, so
-// future extensions fail by name instead of by malformed frame.
-inline constexpr u64 kCapRowRangeMvm = 1u << 0;  ///< row-range MvmRequest
-inline constexpr u64 kCapHealth = 1u << 1;       ///< health probe frames
-/// All capability bits this build speaks.
-inline constexpr u64 kNetCapabilities = kCapRowRangeMvm | kCapHealth;
 
 /// Stable lower_snake name for a NetError (total: unknown codes map to
 /// "unknown_error", so logging a hostile code cannot itself fail).
@@ -116,9 +108,9 @@ class ProtocolError : public Error {
 };
 
 /// Request-level failure with a named code. The cluster layer throws this
-/// when a scatter cannot complete (no replica, deadline, capability
-/// mismatch); a server executing the request catches it and answers with an
-/// Error frame carrying the code -- the connection stays up.
+/// when a scatter cannot complete (no replica, deadline); a server
+/// executing the request catches it and answers with an Error frame
+/// carrying the code -- the connection stays up.
 class RpcError : public Error {
  public:
   RpcError(NetError code, const std::string& what)
@@ -186,23 +178,35 @@ struct MvmReply {
   static MvmReply DecodeFrom(ByteReader* in);
 };
 
-/// InfoReply body: identity plus serving counters (a monitoring surface,
+/// Monotonic serving counters (a consistent snapshot via Server::stats(),
+/// and the `stats` field of every InfoReply).
+struct ServerStats {
+  u64 connections_accepted = 0;
+  u64 requests_admitted = 0;
+  u64 replies_sent = 0;
+  u64 errors_sent = 0;
+  u64 batches_dispatched = 0;
+  u64 batched_requests = 0;  ///< requests that shared a batch (size >= 2)
+  u64 max_batch = 0;
+  u64 shard_evictions = 0;
+};
+
+/// InfoReply body, the one introspection reply: the served matrix's
+/// identity, the batching config, liveness and the serving counters (a
+/// monitoring surface, the coordinator's connect-time dimension check,
 /// and how the load harness asserts batching actually happened).
 struct ServerInfo {
   std::string format_tag;
   u64 rows = 0;
   u64 cols = 0;
   u64 compressed_bytes = 0;
-  u64 shard_count = 0;       ///< 1 for an unsharded matrix (one shard)
-  u64 resident_shards = 0;   ///< == shard_count when unsharded or all hot
-  u8 batching = 0;           ///< 1 when batch_max > 1
-  u64 batch_max = 0;
+  u64 shard_count = 0;      ///< 1 for an unsharded matrix (one shard)
+  u64 resident_shards = 0;  ///< == shard_count when unsharded or all hot
+  u64 batch_max = 0;        ///< 1 = coalescing off
   double batch_window_ms = 0.0;
-  u64 requests_served = 0;
-  u64 batches_dispatched = 0;
-  u64 batched_requests = 0;  ///< requests answered via a batch of size >= 2
-  u64 max_batch = 0;
-  u64 errors_sent = 0;
+  u8 accepting = 1;         ///< 0 once the server has begun shutting down
+  u64 queue_depth = 0;      ///< admitted requests not yet dispatched
+  ServerStats stats;
 
   void EncodeTo(ByteWriter* out) const;
   static ServerInfo DecodeFrom(ByteReader* in);
@@ -215,46 +219,6 @@ struct ErrorReply {
 
   void EncodeTo(ByteWriter* out) const;
   static ErrorReply DecodeFrom(ByteReader* in);
-};
-
-/// Hello body: version + capability negotiation. `required` names the
-/// capability bits the peer cannot work without; a server lacking any of
-/// them answers kCapabilityMismatch instead of a HelloReply. `peer` is a
-/// free-form identity string for logs ("coordinator", "worker:3", ...).
-struct HelloRequest {
-  u16 version = kNetProtocolVersion;
-  u64 capabilities = kNetCapabilities;
-  u64 required = 0;
-  std::string peer;
-
-  void EncodeTo(ByteWriter* out) const;
-  static HelloRequest DecodeFrom(ByteReader* in);
-};
-
-/// HelloReply body: the server's version/capabilities plus the serving
-/// matrix identity, so a coordinator can validate a worker's dimensions
-/// before routing any row range to it.
-struct HelloReply {
-  u16 version = kNetProtocolVersion;
-  u64 capabilities = kNetCapabilities;
-  u64 rows = 0;
-  u64 cols = 0;
-  std::string format_tag;
-
-  void EncodeTo(ByteWriter* out) const;
-  static HelloReply DecodeFrom(ByteReader* in);
-};
-
-/// HealthReply body: a cheap liveness + load probe (the coordinator uses it
-/// to prefer idle replicas without paying for a full InfoReply).
-struct HealthReply {
-  u8 accepting = 1;  ///< 0 once the server has begun shutting down
-  u64 queue_depth = 0;
-  u64 resident_shards = 0;
-  u64 requests_served = 0;
-
-  void EncodeTo(ByteWriter* out) const;
-  static HealthReply DecodeFrom(ByteReader* in);
 };
 
 // ---------------------------------------------------------------------------

@@ -168,15 +168,11 @@ ServerInfo Server::Info() const {
   info.compressed_bytes = matrix_.CompressedBytes();
   info.shard_count = sharded_->shard_count();
   info.resident_shards = sharded_->LoadedShardCount();
-  info.batching = config_.batch_max > 1 ? 1 : 0;
   info.batch_max = config_.batch_max;
   info.batch_window_ms = config_.batch_window_ms;
-  ServerStats snapshot = stats();
-  info.requests_served = snapshot.replies_sent;
-  info.batches_dispatched = snapshot.batches_dispatched;
-  info.batched_requests = snapshot.batched_requests;
-  info.max_batch = snapshot.max_batch;
-  info.errors_sent = snapshot.errors_sent;
+  info.accepting = stopping_ ? 0 : 1;
+  info.queue_depth = QueueDepth();
+  info.stats = stats();
   return info;
 }
 
@@ -267,55 +263,6 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       ByteWriter out;
       Info().EncodeTo(&out);
       SendFrameTo(*conn, MsgType::kInfoReply, id, out.buffer());
-      return;
-    }
-    case MsgType::kHello: {
-      HelloRequest hello;
-      try {
-        ByteReader in(frame.payload);
-        hello = HelloRequest::DecodeFrom(&in);
-      } catch (const Error& e) {
-        SendErrorTo(*conn, id, NetError::kMalformedPayload, e.what());
-        return;
-      }
-      // The frame header already pinned the version; the body repeats it
-      // for forward compatibility with future multi-version framing.
-      if (hello.version != kNetProtocolVersion) {
-        SendErrorTo(*conn, id, NetError::kBadVersion,
-                    "peer speaks protocol version " +
-                        std::to_string(hello.version) + ", this server " +
-                        std::to_string(kNetProtocolVersion));
-        return;
-      }
-      const u64 missing = hello.required & ~kNetCapabilities;
-      if (missing != 0) {
-        SendErrorTo(*conn, id, NetError::kCapabilityMismatch,
-                    "peer \"" + hello.peer + "\" requires capability bits " +
-                        std::to_string(missing) +
-                        " this server does not speak");
-        return;
-      }
-      HelloReply reply;
-      reply.rows = matrix_.rows();
-      reply.cols = matrix_.cols();
-      reply.format_tag = matrix_.FormatTag();
-      ByteWriter out;
-      reply.EncodeTo(&out);
-      SendFrameTo(*conn, MsgType::kHelloReply, id, out.buffer());
-      return;
-    }
-    case MsgType::kHealth: {
-      HealthReply health;
-      health.accepting = stopping_ ? 0 : 1;
-      health.queue_depth = QueueDepth();
-      health.resident_shards = sharded_->LoadedShardCount();
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        health.requests_served = stats_.replies_sent;
-      }
-      ByteWriter out;
-      health.EncodeTo(&out);
-      SendFrameTo(*conn, MsgType::kHealthReply, id, out.buffer());
       return;
     }
     case MsgType::kMvmRight:
@@ -502,8 +449,8 @@ void Server::ExecuteBatch(std::vector<PendingMvm>& batch) {
     return;
   }
 
-  // Counters first, replies second: a client that pipelines a health
-  // probe behind an MVM reply must observe its request counted (the
+  // Counters first, replies second: a client that pipelines an Info
+  // request behind an MVM reply must observe its request counted (the
   // probe cannot arrive before the reply frame it chases).
   {
     std::lock_guard<std::mutex> lock(stats_mu_);

@@ -20,8 +20,8 @@
 // one request or k -- is that one call. An unsharded matrix is served as
 // a one-shard ShardedMatrix::FromShards, so it takes the same path (a
 // right range computes the whole shard and copies the rows; a left range
-// must be the full range, the only shard-aligned one); Info and Hello
-// still describe the matrix the server was given.
+// must be the full range, the only shard-aligned one); Info still
+// describes the matrix the server was given.
 //
 // Batching changes throughput, never answers: vector j of a batch is
 // bitwise identical to the sequential single-vector call (the engine
@@ -77,18 +77,6 @@ struct ServerConfig {
   /// stay resident, after every batch (0 = never evict; an unsharded
   /// matrix has nothing to evict).
   u64 max_resident_bytes = 0;
-};
-
-/// Monotonic serving counters (a consistent snapshot via stats()).
-struct ServerStats {
-  u64 connections_accepted = 0;
-  u64 requests_admitted = 0;
-  u64 replies_sent = 0;
-  u64 errors_sent = 0;
-  u64 batches_dispatched = 0;
-  u64 batched_requests = 0;  ///< requests that shared a batch (size >= 2)
-  u64 max_batch = 0;
-  u64 shard_evictions = 0;
 };
 
 class Server {
@@ -165,7 +153,7 @@ class Server {
            a.row_end == b.row_end;
   }
 
-  AnyMatrix matrix_;  ///< what Info and Hello describe
+  AnyMatrix matrix_;  ///< what Info describes
   /// The matrix every batch runs through: matrix_ itself when it is
   /// sharded, else one_shard_, a one-shard ShardedMatrix over it. Never
   /// null.

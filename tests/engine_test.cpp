@@ -26,6 +26,7 @@
 #include "matrix/csrv.hpp"
 #include "matrix/sparse_builder.hpp"
 #include "conformance_specs.hpp"
+#include "util/memory_tracker.hpp"
 #include "util/rng.hpp"
 
 namespace gcm {
@@ -425,8 +426,10 @@ TEST_P(MultiPoolTest, RightMultiMatchesSequential) {
     }
   }
   ThreadPool pool(4);
-  DenseMatrix sequential = gc.MultiplyRightMulti(x);
-  DenseMatrix pooled = gc.MultiplyRightMulti(x, &pool);
+  DenseMatrix sequential(40, 9);
+  DenseMatrix pooled(40, 9);
+  gc.MultiplyRightMulti(x, &sequential);
+  gc.MultiplyRightMulti(x, &pooled, &pool);
   EXPECT_EQ(sequential, pooled);  // batches are bitwise independent
 }
 
@@ -441,8 +444,10 @@ TEST_P(MultiPoolTest, LeftMultiMatchesSequential) {
     }
   }
   ThreadPool pool(3);
-  DenseMatrix sequential = gc.MultiplyLeftMulti(x);
-  DenseMatrix pooled = gc.MultiplyLeftMulti(x, &pool);
+  DenseMatrix sequential(7, 17);
+  DenseMatrix pooled(7, 17);
+  gc.MultiplyLeftMulti(x, &sequential);
+  gc.MultiplyLeftMulti(x, &pooled, &pool);
   EXPECT_EQ(sequential, pooled);
 }
 
@@ -453,6 +458,62 @@ INSTANTIATE_TEST_SUITE_P(AllFormats, MultiPoolTest,
                          [](const auto& suffix_info) {
                            return std::string(FormatName(suffix_info.param));
                          });
+
+// An engine k-vector call holds one result block: the backend kernel
+// fills the block AnyMatrix allocates, so the call's heap peak is at most
+// the kernel's own auxiliary space (its k-wide W array) plus that block.
+TEST(EngineMultiMemoryTest, KVectorCallHoldsOneResultBlock) {
+  if (!MemoryTracker::TrackingActive()) {
+    GTEST_SKIP() << "heap tracking is compiled out in sanitizer builds";
+  }
+  Rng rng(93);
+  DenseMatrix dense = DenseMatrix::Random(2000, 40, 0.5, 6, &rng);
+  GcMatrix gc = GcMatrix::FromDense(dense, {GcFormat::kRe32, 12, 0});
+  AnyMatrix m = AnyMatrix::Ref(gc);
+  ASSERT_EQ(m.FormatTag(), "gcm:re_32");
+  const std::size_t k = 16;
+  DenseMatrix xr(dense.cols(), k);
+  DenseMatrix xl(k, dense.rows());
+  for (std::size_t r = 0; r < xr.rows(); ++r) {
+    for (std::size_t t = 0; t < k; ++t) xr.Set(r, t, rng.NextDouble() - 0.5);
+  }
+  for (std::size_t t = 0; t < k; ++t) {
+    for (std::size_t r = 0; r < xl.cols(); ++r) {
+      xl.Set(t, r, rng.NextDouble() - 0.5);
+    }
+  }
+  // Heap high-water of `call` above the live bytes just before it.
+  auto peak_of = [](auto&& call) {
+    MemoryTracker::ResetPeak();
+    const u64 before = MemoryTracker::CurrentBytes();
+    call();
+    return MemoryTracker::PeakBytes() - before;
+  };
+
+  DenseMatrix right(dense.rows(), k);
+  const u64 right_aux = peak_of([&] { gc.MultiplyRightMulti(xr, &right); });
+  const u64 right_engine = peak_of([&] {
+    DenseMatrix y = m.MultiplyRightMulti(xr);
+    EXPECT_EQ(y, right);
+  });
+  const u64 right_block = dense.rows() * k * sizeof(double);
+  EXPECT_GE(right_engine, right_block);
+  EXPECT_LE(right_engine, right_aux + right_block)
+      << "kernel aux " << right_aux << " B, result block " << right_block
+      << " B";
+
+  DenseMatrix left(k, dense.cols());
+  const u64 left_aux = peak_of([&] { gc.MultiplyLeftMulti(xl, &left); });
+  const u64 left_engine = peak_of([&] {
+    DenseMatrix y = m.MultiplyLeftMulti(xl);
+    EXPECT_EQ(y, left);
+  });
+  const u64 left_block = k * dense.cols() * sizeof(double);
+  EXPECT_GE(left_engine, left_block);
+  EXPECT_LE(left_engine, left_aux + left_block)
+      << "kernel aux " << left_aux << " B, result block " << left_block
+      << " B";
+}
 
 // --------------------------------------------------------------------------
 // Pool-parallel single-vector kernels (chunked scan of C within one block)

@@ -1,13 +1,13 @@
 // Multi-node cluster serving suite: backoff policy unit tests, cluster
-// manifest round trips, hello/health protocol frames, shard-aligned left
-// ranges, and -- the core contract -- a coordinator scattering over real
-// loopback worker servers with results bitwise equal to the local
-// ShardedMatrix, including under failure: worker killed mid-request
-// (failover to a replica, answer unchanged), no replica left (named
-// kNoReplica error, connection stays usable), and a stuck worker (named
-// kDeadlineExceeded, no hang). Carries the `cluster_serving_smoke` CTest
-// label; CI runs it on every configuration and under the asan-ubsan +
-// tsan presets.
+// manifest round trips, the Info probe, shard-aligned left ranges, the
+// connect-time dimension check, and -- the core contract -- a coordinator
+// scattering over real loopback worker servers with results bitwise equal
+// to the local ShardedMatrix, including under failure: worker killed
+// mid-request (failover to a replica, answer unchanged), no replica left
+// (named kNoReplica error, connection stays usable), and a stuck worker
+// (named kDeadlineExceeded, no hang). Carries the `cluster_serving_smoke`
+// CTest label; CI runs it on every configuration and under the asan-ubsan
+// + tsan presets.
 
 #include <gtest/gtest.h>
 
@@ -187,7 +187,7 @@ TEST(ClusterManifestTest, DeriveRoutesShardsRoundRobinWithReplicas) {
 }
 
 // --------------------------------------------------------------------------
-// Hello / health frames
+// Info probe
 // --------------------------------------------------------------------------
 
 /// Server on an ephemeral loopback port, stopped on destruction.
@@ -202,46 +202,17 @@ struct TestServer {
   std::unique_ptr<Server> server;
 };
 
-TEST(ClusterProtocolTest, HelloReportsIdentityAndCapabilities) {
-  AnyMatrix m = TestSharded();
-  TestServer ts(m);
-  Client client = ts.Connect();
-
-  HelloReply reply = client.Hello(HelloRequest{.peer = "test"});
-  EXPECT_EQ(reply.version, kNetProtocolVersion);
-  EXPECT_EQ(reply.capabilities, kNetCapabilities);
-  EXPECT_EQ(reply.rows, m.rows());
-  EXPECT_EQ(reply.cols, m.cols());
-  EXPECT_EQ(reply.format_tag, m.FormatTag());
-}
-
-TEST(ClusterProtocolTest, HelloRequiringUnknownCapabilityIsNamedError) {
+TEST(ClusterProtocolTest, InfoReportsAcceptingAndProgress) {
   TestServer ts(TestSharded());
   Client client = ts.Connect();
-  HelloRequest hello;
-  hello.required = u64{1} << 7;  // a bit this server does not speak
-  try {
-    client.Hello(hello);
-    FAIL() << "capability mismatch not reported";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("capability_mismatch"),
-              std::string::npos)
-        << e.what();
-  }
-  client.Ping();  // request-scoped error: the connection survives
-}
-
-TEST(ClusterProtocolTest, HealthReportsAcceptingAndProgress) {
-  TestServer ts(TestSharded());
-  Client client = ts.Connect();
-  HealthReply before = client.Health();
+  ServerInfo before = client.Info();
   EXPECT_EQ(before.accepting, 1);
   EXPECT_EQ(before.queue_depth, 0u);
 
   std::vector<double> x = RandomVector(11, 31);
   client.MvmRight(x);
-  HealthReply after = client.Health();
-  EXPECT_GE(after.requests_served, before.requests_served + 1);
+  ServerInfo after = client.Info();
+  EXPECT_GE(after.stats.replies_sent, before.stats.replies_sent + 1);
   EXPECT_EQ(after.resident_shards, 3u);
 }
 
@@ -350,6 +321,25 @@ TEST(RemoteShardedMatrixTest, CoordinatorReExportsTheOrdinaryProtocol) {
   std::vector<double> y = RandomVector(local.rows(), 62);
   EXPECT_TRUE(BitwiseEqual(client.MvmRight(x), local.MultiplyRight(x)));
   EXPECT_TRUE(BitwiseEqual(client.MvmLeft(y), local.MultiplyLeft(y)));
+}
+
+TEST(RemoteShardedMatrixTest, ConnectRejectsWorkerWithOtherDimensions) {
+  AnyMatrix local = TestSharded(3);  // 60 x 11
+  TestServer worker(local);
+  const WorkerEndpoint endpoint{kHost, worker.server->port()};
+  ClusterManifest manifest;
+  manifest.rows = local.rows() + 1;
+  manifest.cols = local.cols();
+  manifest.ranges = {{0, manifest.rows, {endpoint}}};
+  try {
+    RemoteShardedMatrix::Connect(manifest, {.max_attempts = 1});
+    FAIL() << "connect to a worker of another shape succeeded";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(endpoint.ToString()), std::string::npos) << what;
+    EXPECT_NE(what.find("60x11"), std::string::npos) << what;
+    EXPECT_NE(what.find("61x11"), std::string::npos) << what;
+  }
 }
 
 TEST(RemoteShardedMatrixTest, ConnectRejectsUnreachableCluster) {

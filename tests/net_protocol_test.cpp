@@ -91,6 +91,8 @@ TEST(NetProtocolTest, MvmReplyRoundTrips) {
 }
 
 TEST(NetProtocolTest, ServerInfoRoundTrips) {
+  // Every field distinct and non-default, so a swapped or dropped field
+  // in the codec cannot round-trip by accident.
   ServerInfo info;
   info.format_tag = "sharded(gcm:re_32 x4)";
   info.rows = 100;
@@ -98,14 +100,18 @@ TEST(NetProtocolTest, ServerInfoRoundTrips) {
   info.compressed_bytes = 12345;
   info.shard_count = 4;
   info.resident_shards = 2;
-  info.batching = 1;
   info.batch_max = 16;
   info.batch_window_ms = 0.25;
-  info.requests_served = 999;
-  info.batches_dispatched = 100;
-  info.batched_requests = 800;
-  info.max_batch = 16;
-  info.errors_sent = 3;
+  info.accepting = 0;
+  info.queue_depth = 7;
+  info.stats.connections_accepted = 5;
+  info.stats.requests_admitted = 1001;
+  info.stats.replies_sent = 999;
+  info.stats.errors_sent = 3;
+  info.stats.batches_dispatched = 101;
+  info.stats.batched_requests = 800;
+  info.stats.max_batch = 15;
+  info.stats.shard_evictions = 42;
   ByteWriter out;
   info.EncodeTo(&out);
   ByteReader in(out.buffer());
@@ -116,14 +122,18 @@ TEST(NetProtocolTest, ServerInfoRoundTrips) {
   EXPECT_EQ(back.compressed_bytes, info.compressed_bytes);
   EXPECT_EQ(back.shard_count, info.shard_count);
   EXPECT_EQ(back.resident_shards, info.resident_shards);
-  EXPECT_EQ(back.batching, info.batching);
   EXPECT_EQ(back.batch_max, info.batch_max);
   EXPECT_EQ(back.batch_window_ms, info.batch_window_ms);
-  EXPECT_EQ(back.requests_served, info.requests_served);
-  EXPECT_EQ(back.batches_dispatched, info.batches_dispatched);
-  EXPECT_EQ(back.batched_requests, info.batched_requests);
-  EXPECT_EQ(back.max_batch, info.max_batch);
-  EXPECT_EQ(back.errors_sent, info.errors_sent);
+  EXPECT_EQ(back.accepting, info.accepting);
+  EXPECT_EQ(back.queue_depth, info.queue_depth);
+  EXPECT_EQ(back.stats.connections_accepted, info.stats.connections_accepted);
+  EXPECT_EQ(back.stats.requests_admitted, info.stats.requests_admitted);
+  EXPECT_EQ(back.stats.replies_sent, info.stats.replies_sent);
+  EXPECT_EQ(back.stats.errors_sent, info.stats.errors_sent);
+  EXPECT_EQ(back.stats.batches_dispatched, info.stats.batches_dispatched);
+  EXPECT_EQ(back.stats.batched_requests, info.stats.batched_requests);
+  EXPECT_EQ(back.stats.max_batch, info.stats.max_batch);
+  EXPECT_EQ(back.stats.shard_evictions, info.stats.shard_evictions);
 }
 
 TEST(NetProtocolTest, ErrorReplyRoundTrips) {
@@ -272,6 +282,24 @@ TEST(NetProtocolTest, RequestTypeClassification) {
   EXPECT_TRUE(IsKnownType(static_cast<u16>(MsgType::kPong)));
   EXPECT_FALSE(IsKnownType(0));
   EXPECT_FALSE(IsKnownType(12345));
+}
+
+TEST(NetProtocolTest, VersionTwoSpeaksExactlyEightFrameTypes) {
+  // Ping, Info, MvmRight, MvmLeft and their four replies; the retired
+  // handshake and health codes (5, 6, 68, 69) are unknown types.
+  EXPECT_EQ(kNetProtocolVersion, 2);
+  std::vector<u16> known;
+  for (u32 type = 0; type <= 0xffff; ++type) {
+    if (IsKnownType(static_cast<u16>(type))) {
+      known.push_back(static_cast<u16>(type));
+    }
+  }
+  EXPECT_EQ(known, (std::vector<u16>{1, 2, 3, 4, 64, 65, 66, 67}));
+  std::vector<u16> requests;
+  for (u16 type : known) {
+    if (IsRequestType(static_cast<MsgType>(type))) requests.push_back(type);
+  }
+  EXPECT_EQ(requests, (std::vector<u16>{1, 2, 3, 4}));
 }
 
 }  // namespace

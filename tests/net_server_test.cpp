@@ -89,7 +89,7 @@ TEST(NetServerTest, PingAndInfo) {
   EXPECT_EQ(info.cols, m.cols());
   EXPECT_EQ(info.format_tag, m.FormatTag());
   EXPECT_EQ(info.compressed_bytes, m.CompressedBytes());
-  EXPECT_EQ(info.batching, 1);
+  EXPECT_EQ(info.batch_max, ServerConfig{}.batch_max);
 }
 
 // --------------------------------------------------------------------------
@@ -176,8 +176,8 @@ void CheckBatchingBitwise(const AnyMatrix& m) {
 
   // The requests really were coalesced, not served one by one.
   ServerInfo info = client.Info();
-  EXPECT_EQ(info.max_batch, kBatch);
-  EXPECT_GE(info.batched_requests, 2 * kBatch);
+  EXPECT_EQ(info.stats.max_batch, kBatch);
+  EXPECT_GE(info.stats.batched_requests, 2 * kBatch);
 }
 
 TEST(NetServerTest, BatchedRepliesBitwiseIdenticalUnsharded) {
@@ -246,7 +246,7 @@ TEST(NetServerTest, BatchedAlignedLeftRangeRepliesBitwiseIdentical) {
               0)
         << "request " << j;
   }
-  EXPECT_EQ(client.Info().max_batch, 3u);
+  EXPECT_EQ(client.Info().stats.max_batch, 3u);
 }
 
 TEST(NetServerTest, PooledServerAnswersRangeRequestsBitwise) {
@@ -289,7 +289,7 @@ TEST(NetServerTest, PooledServerAnswersRangeRequestsBitwise) {
           << ") request " << j;
     }
   }
-  EXPECT_EQ(client.Info().max_batch, 2u);
+  EXPECT_EQ(client.Info().stats.max_batch, 2u);
 }
 
 // --------------------------------------------------------------------------
@@ -387,8 +387,10 @@ TEST(NetServerTest, WrongVersionGetsNamedErrorThenClose) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
   TestServer ts(m);
   Socket socket = Socket::ConnectTcp(kHost, ts.server->port());
+  // A version-1 peer: refused by name at its first frame header.
   std::vector<u8> frame = EncodeFrame(MsgType::kPing, 1, {});
-  frame[4] = 99;
+  frame[4] = 1;  // version field, little-endian
+  frame[5] = 0;
   socket.SendAll(frame);
   ExpectErrorThenClose(socket, NetError::kBadVersion);
   Client client = ts.Connect();

@@ -129,7 +129,12 @@ TEST_P(MultiRhsTest, RightMultiMatchesColumnwise) {
   for (std::size_t r = 0; r < 12; ++r) {
     for (std::size_t c = 0; c < k; ++c) x.Set(r, c, rng.NextDouble() - 0.5);
   }
-  DenseMatrix y = gc.MultiplyRightMulti(x);
+  // A reused block full of stale values: every entry is overwritten.
+  DenseMatrix y(50, k);
+  for (std::size_t r = 0; r < 50; ++r) {
+    for (std::size_t c = 0; c < k; ++c) y.Set(r, c, 1e300);
+  }
+  gc.MultiplyRightMulti(x, &y);
   ASSERT_EQ(y.rows(), 50u);
   ASSERT_EQ(y.cols(), k);
   for (std::size_t t = 0; t < k; ++t) {
@@ -151,7 +156,13 @@ TEST_P(MultiRhsTest, LeftMultiMatchesRowwise) {
   for (std::size_t r = 0; r < k; ++r) {
     for (std::size_t c = 0; c < 40; ++c) x.Set(r, c, rng.NextDouble() - 0.5);
   }
-  DenseMatrix y = gc.MultiplyLeftMulti(x);
+  // The kernel accumulates into the caller's block, so it must zero the
+  // stale values first.
+  DenseMatrix y(k, 10);
+  for (std::size_t r = 0; r < k; ++r) {
+    for (std::size_t c = 0; c < 10; ++c) y.Set(r, c, 1e300);
+  }
+  gc.MultiplyLeftMulti(x, &y);
   ASSERT_EQ(y.rows(), k);
   ASSERT_EQ(y.cols(), 10u);
   for (std::size_t t = 0; t < k; ++t) {
@@ -171,7 +182,8 @@ TEST_P(MultiRhsTest, SingleColumnMultiEqualsVectorKernel) {
   std::vector<double> x(8);
   for (auto& v : x) v = rng.NextDouble();
   DenseMatrix x_mat(8, 1, std::vector<double>(x));
-  DenseMatrix y_multi = gc.MultiplyRightMulti(x_mat);
+  DenseMatrix y_multi(30, 1);
+  gc.MultiplyRightMulti(x_mat, &y_multi);
   std::vector<double> y = gc.MultiplyRight(x);
   for (std::size_t r = 0; r < 30; ++r) {
     EXPECT_NEAR(y_multi.At(r, 0), y[r], 1e-12);
@@ -180,8 +192,18 @@ TEST_P(MultiRhsTest, SingleColumnMultiEqualsVectorKernel) {
 
 TEST_P(MultiRhsTest, DimensionMismatchThrows) {
   GcMatrix gc = GcMatrix::FromDense(PaperFigure1Matrix(), {GetParam(), 12, 0});
-  EXPECT_THROW(gc.MultiplyRightMulti(DenseMatrix(4, 2)), Error);
-  EXPECT_THROW(gc.MultiplyLeftMulti(DenseMatrix(2, 4)), Error);
+  const std::size_t rows = gc.rows();
+  const std::size_t cols = gc.cols();
+  DenseMatrix right_y(rows, 2);
+  DenseMatrix left_y(2, cols);
+  EXPECT_THROW(gc.MultiplyRightMulti(DenseMatrix(4, 2), &right_y), Error);
+  EXPECT_THROW(gc.MultiplyLeftMulti(DenseMatrix(2, 4), &left_y), Error);
+  // A well-shaped input into a mis-shaped output block is refused too.
+  DenseMatrix wrong_right(rows + 1, 2);
+  DenseMatrix wrong_left(2, cols + 1);
+  EXPECT_THROW(gc.MultiplyRightMulti(DenseMatrix(cols, 2), &wrong_right),
+               Error);
+  EXPECT_THROW(gc.MultiplyLeftMulti(DenseMatrix(2, rows), &wrong_left), Error);
 }
 
 TEST_P(MultiRhsTest, GramMatrixViaCompressedProducts) {
@@ -191,7 +213,8 @@ TEST_P(MultiRhsTest, GramMatrixViaCompressedProducts) {
   DenseMatrix m = DenseMatrix::Random(35, 6, 0.7, 4, &rng);
   GcMatrix gc = GcMatrix::FromDense(m, {GetParam(), 12, 0});
   DenseMatrix mt = m.Transposed();            // 6 x 35
-  DenseMatrix gram = gc.MultiplyLeftMulti(mt);  // (6 x 35) * (35 x 6)
+  DenseMatrix gram(6, 6);
+  gc.MultiplyLeftMulti(mt, &gram);  // (6 x 35) * (35 x 6)
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = 0; j < 6; ++j) {
       double expected = 0.0;
