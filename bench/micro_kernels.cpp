@@ -1,8 +1,9 @@
 // Microbenchmarks of the individual kernels (google-benchmark): RePair
 // construction, rANS encode/decode, packed-array access, the four MVM
-// formats, engine dispatch, CSM computation and CLA compression. These
-// quantify the constant factors behind the table-level results (e.g. why
-// re_32 multiplies faster than re_iv, and re_iv faster than re_ans).
+// formats, engine dispatch, CSM computation, CLA compression and the
+// CRC-32 checksum. These quantify the constant factors behind the
+// table-level results (e.g. why re_32 multiplies faster than re_iv, and
+// re_iv faster than re_ans).
 //
 //   $ ./micro_kernels            # full timed run
 //   $ ./micro_kernels --smoke    # every kernel exactly once, untimed
@@ -15,6 +16,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -237,6 +239,26 @@ void BM_SimdAxpy(benchmark::State& state) {
   state.SetLabel(simd::BackendName());
 }
 BENCHMARK(BM_SimdAxpy);
+
+// Checksum rate over one shard file's worth of bytes (a cold_ranges shard
+// file is ~470 KB): the facade's vector path (forced_scalar:0) and the
+// portable slicing-by-8 loop under ScopedForceScalar (forced_scalar:1).
+// bytes_per_second is the CRC rate every shard load and wire frame pays.
+void BM_Crc32(benchmark::State& state) {
+  constexpr std::size_t kBytes = 470000;
+  Rng rng(19);
+  std::vector<u8> bytes(kBytes);
+  for (auto& b : bytes) b = static_cast<u8>(rng.Next());
+  std::optional<simd::ScopedForceScalar> force;
+  if (state.range(0) != 0) force.emplace();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(
+      state.iterations() * static_cast<benchmark::IterationCount>(kBytes));
+  state.SetLabel(simd::VectorActive() ? simd::BackendName() : "portable");
+}
+BENCHMARK(BM_Crc32)->ArgName("forced_scalar")->Arg(0)->Arg(1);
 
 // Row extraction with and without the hot-rule expansion cache: the cold
 // variant re-walks the grammar per row, the hot one streams cached

@@ -2,18 +2,19 @@
 #
 # GCM_SIMD=auto|avx2|scalar picks which backend header the single #if in
 # src/util/simd.hpp compiles in:
-#   auto    avx2 when the target is x86-64, the compiler accepts -mavx2,
-#           and the (non-cross) build host advertises avx2; scalar
-#           otherwise. The default: a plain build never emits
-#           instructions its own host cannot run.
-#   avx2    require AVX2 (configure error if the compiler lacks -mavx2;
-#           the produced binaries need an AVX2 host).
+#   auto    avx2 when the target is x86-64, the compiler accepts -mavx2
+#           and -mpclmul, and the (non-cross) build host advertises avx2
+#           and pclmulqdq; scalar otherwise. The default: a plain build
+#           never emits instructions its own host cannot run.
+#   avx2    require AVX2 + PCLMULQDQ (configure error if the compiler lacks
+#           -mavx2 or -mpclmul; the binaries need a host with both).
 #   scalar  portable fallback only -- CI runs a forced-scalar leg with
 #           this so the fallback path stays tested.
 #
 # The resolved backend is exported as GCM_SIMD_RESOLVED ("avx2"|"scalar");
 # src/CMakeLists.txt turns it into GCM_SIMD_AVX2 / GCM_SIMD_SCALAR compile
-# definitions on the gcm target. Deliberately NOT added for avx2: -mfma.
+# definitions on the gcm target, with -mavx2 -mpclmul (the backend's CRC-32
+# folds with carry-less multiplies). Deliberately NOT added for avx2: -mfma.
 # FMA contraction would change rounding between the two backends and break
 # the facade's bitwise-equality contract (see src/util/simd_avx2.hpp).
 
@@ -29,18 +30,21 @@ function(_gcm_simd_detect_avx2 out_var)
     return()
   endif()
   check_cxx_compiler_flag(-mavx2 GCM_CXX_HAS_MAVX2)
-  if(NOT GCM_CXX_HAS_MAVX2)
+  check_cxx_compiler_flag(-mpclmul GCM_CXX_HAS_MPCLMUL)
+  if(NOT GCM_CXX_HAS_MAVX2 OR NOT GCM_CXX_HAS_MPCLMUL)
     return()
   endif()
   if(CMAKE_CROSSCOMPILING)
     return()  # cannot probe the eventual host; stay portable
   endif()
-  # On Linux, confirm the build host itself has avx2 so `cmake && make &&
-  # ctest` cannot produce a SIGILL-ing test suite. Other hosts (macOS
-  # x86-64 and friends) are assumed capable; GCM_SIMD=scalar opts out.
+  # On Linux, confirm the build host itself has avx2 and pclmulqdq so
+  # `cmake && make && ctest` cannot produce a SIGILL-ing test suite. Other
+  # hosts (macOS x86-64 and friends) are assumed capable; GCM_SIMD=scalar
+  # opts out.
   if(EXISTS "/proc/cpuinfo")
     file(READ "/proc/cpuinfo" _gcm_cpuinfo)
-    if(NOT _gcm_cpuinfo MATCHES "[ \t]avx2[ \t\r\n]")
+    if(NOT _gcm_cpuinfo MATCHES "[ \t]avx2[ \t\r\n]" OR
+       NOT _gcm_cpuinfo MATCHES "[ \t]pclmulqdq[ \t\r\n]")
       return()
     endif()
   endif()
@@ -56,8 +60,10 @@ if(GCM_SIMD STREQUAL "auto")
   endif()
 elseif(GCM_SIMD STREQUAL "avx2")
   check_cxx_compiler_flag(-mavx2 GCM_CXX_HAS_MAVX2)
-  if(NOT GCM_CXX_HAS_MAVX2)
-    message(FATAL_ERROR "GCM_SIMD=avx2 but the compiler rejects -mavx2")
+  check_cxx_compiler_flag(-mpclmul GCM_CXX_HAS_MPCLMUL)
+  if(NOT GCM_CXX_HAS_MAVX2 OR NOT GCM_CXX_HAS_MPCLMUL)
+    message(FATAL_ERROR
+            "GCM_SIMD=avx2 but the compiler rejects -mavx2 or -mpclmul")
   endif()
   set(GCM_SIMD_RESOLVED "avx2")
 elseif(GCM_SIMD STREQUAL "scalar")

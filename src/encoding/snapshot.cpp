@@ -3,13 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "util/mapped_file.hpp"
+#include "util/simd.hpp"
 
 namespace gcm {
 namespace {
@@ -19,28 +20,45 @@ bool IsValidSectionAlignment(std::size_t alignment) {
          (alignment & (alignment - 1)) == 0;
 }
 
-std::array<u32, 256> BuildCrcTable() {
-  std::array<u32, 256> table{};
-  for (u32 i = 0; i < 256; ++i) {
-    u32 crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1) ? 0xedb88320u : 0);
-    }
-    table[i] = crc;
+/// a(x) * b(x) mod P(x) in the reflected bit order Crc32 uses (bit 31
+/// holds the coefficient of x^0).
+u32 MultModP(u32 a, u32 b) {
+  u32 product = 0;
+  for (u32 bit = 1u << 31; bit != 0; bit >>= 1) {
+    if (a & bit) product ^= b;
+    b = (b & 1) ? (b >> 1) ^ simd_portable::kCrc32Poly : b >> 1;
   }
-  return table;
+  return product;
 }
 
 }  // namespace
 
 u32 Crc32(const void* data, std::size_t size, u32 seed) {
-  static const std::array<u32, 256> table = BuildCrcTable();
-  const u8* bytes = static_cast<const u8*>(data);
-  u32 crc = ~seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xff];
+  return simd::Crc32(static_cast<const u8*>(data), size, seed);
+}
+
+u32 Crc32Combine(u32 crc1, u32 crc2, u64 len2) {
+  // Appending len2 bytes multiplies crc1's polynomial by x^(8 len2); the
+  // pre- and post-inversions cancel, so crc2 adds on as it is.
+  u32 shift = 1u << 31;  // x^0
+  u32 square = 1u << 23;  // x^8, one byte
+  for (u64 n = len2; n != 0; n >>= 1) {
+    if (n & 1) shift = MultModP(square, shift);
+    square = MultModP(square, square);
   }
-  return ~crc;
+  return MultModP(shift, crc1) ^ crc2;
+}
+
+u32 SnapshotFileCrc32(std::span<const u8> bytes) {
+  if (bytes.size() < kSnapshotHeaderBytes) {
+    return Crc32(bytes.data(), bytes.size());
+  }
+  u32 body_crc = 0;  // the header's last field
+  std::memcpy(&body_crc,
+              bytes.data() + kSnapshotHeaderBytes - sizeof(body_crc),
+              sizeof(body_crc));
+  return Crc32Combine(Crc32(bytes.data(), kSnapshotHeaderBytes), body_crc,
+                      bytes.size() - kSnapshotHeaderBytes);
 }
 
 std::vector<u8> ReadFileBytes(const std::string& path) {
@@ -145,8 +163,7 @@ std::vector<u8> SnapshotWriter::Finish() const {
   // Body = everything covered by the checksum (spec + section table,
   // padding included). Section payloads land at file offsets that are
   // multiples of their declared alignment; the body starts at file offset
-  // 12 (after magic/version/crc).
-  constexpr std::size_t kHeaderBytes = 12;
+  // kSnapshotHeaderBytes (after magic/version/crc).
   ByteWriter body;
   body.PutString(spec_);
   body.PutVarint(sections_.size());
@@ -154,7 +171,7 @@ std::vector<u8> SnapshotWriter::Finish() const {
     body.PutString(section.name);
     body.Put<u8>(static_cast<u8>(section.alignment));
     body.PutVarint(section.writer.size());
-    while ((kHeaderBytes + body.size()) % section.alignment != 0) {
+    while ((kSnapshotHeaderBytes + body.size()) % section.alignment != 0) {
       body.Put<u8>(0);
     }
     body.PutBytes(section.writer.buffer().data(), section.writer.size());
@@ -200,7 +217,7 @@ SnapshotReader SnapshotReader::FromSpan(std::span<const u8> bytes,
 }
 
 void SnapshotReader::Parse() {
-  GCM_CHECK_MSG(bytes_.size() >= 12,
+  GCM_CHECK_MSG(bytes_.size() >= kSnapshotHeaderBytes,
                 "not a gcm snapshot: " << bytes_.size()
                                        << " bytes is shorter than the header");
   ByteReader reader(bytes_.data(), bytes_.size());
@@ -212,7 +229,8 @@ void SnapshotReader::Parse() {
                     << version_ << " (this build reads versions "
                     << kMinSnapshotVersion << ".." << kSnapshotVersion << ")");
   u32 stored_crc = reader.Get<u32>();
-  u32 actual_crc = Crc32(bytes_.data() + 12, bytes_.size() - 12);
+  u32 actual_crc = Crc32(bytes_.data() + kSnapshotHeaderBytes,
+                         bytes_.size() - kSnapshotHeaderBytes);
   GCM_CHECK_MSG(stored_crc == actual_crc,
                 "snapshot checksum mismatch (stored " << stored_crc
                                                       << ", computed "

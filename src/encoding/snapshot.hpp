@@ -81,9 +81,27 @@ constexpr u32 kMinSnapshotVersion = 1;
 constexpr std::size_t kSectionAlignment = 8;
 constexpr std::size_t kPayloadSectionAlignment = 64;
 
+/// Bytes before the checksummed body: magic, version, body CRC.
+constexpr std::size_t kSnapshotHeaderBytes = 12;
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected) of `size` bytes; `seed` chains
-/// incremental updates (pass a previous result to continue).
+/// incremental updates (pass a previous result to continue). Runs the
+/// util/simd.hpp kernel (carry-less-multiply folding on the AVX2 backend).
 u32 Crc32(const void* data, std::size_t size, u32 seed = 0);
+
+/// CRC-32 of A followed by B, from crc1 = Crc32(A), crc2 = Crc32(B) and
+/// len2 = |B|, without reading either: crc1 is multiplied by
+/// x^(8 len2) mod P, found by repeated squaring (zlib's crc32_combine).
+u32 Crc32Combine(u32 crc1, u32 crc2, u64 len2);
+
+/// Crc32 of a whole snapshot file, derived from its header alone:
+/// Crc32Combine(Crc32(header), stored body CRC, size - header). It equals
+/// Crc32(bytes) exactly when the stored body CRC is right, which the
+/// SnapshotReader verifies. So a loader that compares this value with a
+/// recorded whole-file CRC and then parses the file reads each byte once,
+/// and accepts exactly the files two full passes would. Inputs shorter
+/// than the header are checksummed in full.
+u32 SnapshotFileCrc32(std::span<const u8> bytes);
 
 /// Whole-file helpers shared by the container formats (throw gcm::Error on
 /// open/short-read failures, naming the path).

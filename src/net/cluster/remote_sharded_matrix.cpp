@@ -35,16 +35,20 @@ std::shared_ptr<RemoteShardedMatrix> RemoteShardedMatrix::Connect(
       new RemoteShardedMatrix(std::move(manifest), std::move(config)));
   std::lock_guard<std::mutex> lock(remote->mu_);
   // Handshake every distinct endpoint now so a worker serving the wrong
-  // matrix (or speaking the wrong protocol) is rejected by name before any
-  // row range routes to it. Unreachable endpoints are tolerated -- they
+  // matrix is rejected by name before any row range routes to it: that is
+  // a configuration error, and retrying it would only burn every later
+  // scatter's attempts. Unreachable endpoints are tolerated -- they
   // reconnect lazily on first use -- but a cluster with zero reachable
-  // workers is a configuration error, not a retry loop.
+  // workers is a configuration error too, not a retry loop.
   bool any = false;
   std::string last_error = "manifest names no endpoints";
   for (const WorkerEndpoint& worker : DistinctEndpoints(remote->manifest_)) {
     try {
       remote->GetChannel(worker);
       any = true;
+    } catch (const RpcError& e) {
+      if (e.code() == NetError::kDimensionMismatch) throw;
+      last_error = worker.ToString() + ": " + e.what();
     } catch (const Error& e) {
       last_error = worker.ToString() + ": " + e.what();
     }
@@ -81,10 +85,14 @@ RemoteShardedMatrix::Channel& RemoteShardedMatrix::GetChannel(
   // The handshake is one Info round trip: a peer speaking another protocol
   // version is refused at its frame header, and error replies throw.
   ServerInfo info = client.Info();
-  GCM_CHECK_MSG(info.rows == manifest_.rows && info.cols == manifest_.cols,
-                "worker " << key << " serves a " << info.rows << "x"
-                          << info.cols << " matrix but the manifest expects "
-                          << manifest_.rows << "x" << manifest_.cols);
+  if (info.rows != manifest_.rows || info.cols != manifest_.cols) {
+    throw RpcError(NetError::kDimensionMismatch,
+                   "worker " + key + " serves a " + std::to_string(info.rows) +
+                       "x" + std::to_string(info.cols) +
+                       " matrix but the manifest expects " +
+                       std::to_string(manifest_.rows) + "x" +
+                       std::to_string(manifest_.cols));
+  }
   compressed_bytes_.store(info.compressed_bytes, std::memory_order_relaxed);
 
   Channel channel;

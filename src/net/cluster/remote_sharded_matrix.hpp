@@ -77,9 +77,10 @@ struct ClusterStats {
 class RemoteShardedMatrix final : public IMatrixKernel {
  public:
   /// Validates the manifest and handshakes every distinct endpoint
-  /// (protocol version, dimensions). Unreachable endpoints are tolerated
-  /// -- their channels reconnect lazily per request -- but at least one
-  /// worker must answer, or this throws.
+  /// (protocol version, dimensions). A worker serving another shape throws
+  /// RpcError(kDimensionMismatch) at once, naming it and both shapes.
+  /// Unreachable endpoints are tolerated -- their channels reconnect lazily
+  /// per request -- but at least one worker must answer, or this throws.
   static std::shared_ptr<RemoteShardedMatrix> Connect(
       ClusterManifest manifest, ClusterConfig config = {});
 
@@ -141,7 +142,8 @@ class RemoteShardedMatrix final : public IMatrixKernel {
 
   /// Finds or opens the channel to `worker`, handshaking a new one with
   /// one Info round trip (dimension check, compressed_bytes_). Throws
-  /// gcm::Error when the worker is unreachable or fails the handshake.
+  /// gcm::Error when the worker is unreachable or fails the handshake, and
+  /// RpcError(kDimensionMismatch) when it serves another shape.
   Channel& GetChannel(const WorkerEndpoint& worker) const;
   void DropChannel(const std::string& key) const;
 

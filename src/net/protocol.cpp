@@ -26,18 +26,6 @@ namespace {
 // Frame header
 // ---------------------------------------------------------------------------
 
-bool IsRequestType(MsgType type) {
-  switch (type) {
-    case MsgType::kPing:
-    case MsgType::kInfo:
-    case MsgType::kMvmRight:
-    case MsgType::kMvmLeft:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool IsKnownType(u16 type) {
   switch (static_cast<MsgType>(type)) {
     case MsgType::kPing:

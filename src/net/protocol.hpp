@@ -69,7 +69,6 @@ enum class MsgType : u16 {
   kError = 67,
 };
 
-bool IsRequestType(MsgType type);
 bool IsKnownType(u16 type);
 
 /// Named protocol errors; the code travels on the wire inside ErrorReply.

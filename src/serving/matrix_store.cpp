@@ -80,7 +80,7 @@ ShardManifest WriteStore(
       ShardManifestEntry& entry = manifest.shards[i];
       entry.file = ShardFileName(generation, i);
       entry.spec = shard.FormatTag();
-      entry.crc32 = Crc32(bytes.data(), bytes.size());
+      entry.crc32 = SnapshotFileCrc32(bytes);
       entry.snapshot_bytes = bytes.size();
       entry.compressed_bytes = shard.CompressedBytes();
       WriteFileBytes((fs::path(dir) / entry.file).string(), bytes);

@@ -33,15 +33,18 @@ void CheckLoadedShard(const AnyMatrix& loaded, const ShardManifestEntry& entry,
                          << '"');
 }
 
-/// Checksum gate before any payload parsing: a swapped or bit-rotted shard
-/// must fail here, naming the shard, not deep inside a section parser.
+/// Manifest gate before any payload parsing: a swapped, truncated or
+/// re-stamped shard must fail here, naming the shard, not deep inside a
+/// section parser. It reads the length and the snapshot header only
+/// (SnapshotFileCrc32); the parse that follows makes the one pass over the
+/// body and rejects it unless it matches the CRC this gate vouched for.
 void CheckShardBytes(std::span<const u8> bytes,
                      const ShardManifestEntry& entry, const std::string& what) {
   GCM_CHECK_MSG(bytes.size() == entry.snapshot_bytes,
                 "shard " << what << " is " << bytes.size()
                          << " bytes but the manifest records "
                          << entry.snapshot_bytes);
-  u32 crc = Crc32(bytes.data(), bytes.size());
+  u32 crc = SnapshotFileCrc32(bytes);
   GCM_CHECK_MSG(crc == entry.crc32,
                 "shard " << what << " fails its manifest checksum (stored "
                          << entry.crc32 << ", computed " << crc << ")");
@@ -162,7 +165,7 @@ AnyMatrix ShardedMatrix::Acquire(const ShardState& shard) const {
   if (!shard.resident.valid()) {
     std::string path =
         (std::filesystem::path(dir_) / shard.entry.file).string();
-    // Map the file when the platform allows it: the manifest CRC gate
+    // Map the file when the platform allows it: the container's CRC check
     // walks the mapping once (a sequential fault-in the OS can discard
     // again), the deserializer borrows its payload arrays out of it, and
     // only the pages the kernels touch stay resident afterwards. The
@@ -546,7 +549,7 @@ void ShardedMatrix::SaveSections(SnapshotWriter* out) const {
     ShardManifestEntry& entry = embedded.shards[i];
     entry.file.clear();
     entry.spec = shard.FormatTag();
-    entry.crc32 = Crc32(blobs[i].data(), blobs[i].size());
+    entry.crc32 = SnapshotFileCrc32(blobs[i]);
     entry.snapshot_bytes = blobs[i].size();
     entry.compressed_bytes = shard.CompressedBytes();
   }

@@ -8,13 +8,15 @@
 //   simd::Axpy(out, v, x, n)        out[i] += v * x[i]   (never fused)
 //   simd::AnyNonZero(p, n)          any p[i] != 0.0 (NaN counts)
 //   simd::CountEqualsU32(p, n, v)   exact match count
+//   simd::Crc32(p, n, seed)         CRC-32 (0xEDB88320), chained seeds
 //   simd::Prefetch(p)               cache-line hint
 //   simd::ScopedForceScalar         route to scalar loops at runtime
 //   simd::VectorActive()            vector unit in use for next call?
 //   simd::BackendName()             "avx2" | "scalar"
 //
 // Both backends produce bitwise-identical doubles (elementwise ops only,
-// separate mul/add, no -mfma); see simd_avx2.hpp for the full contract.
+// separate mul/add, no -mfma) and identical checksums; see simd_avx2.hpp
+// for the full contract.
 #pragma once
 
 #if defined(GCM_SIMD_AVX2)

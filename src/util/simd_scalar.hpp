@@ -44,6 +44,10 @@ inline std::size_t CountEqualsU32(const u32* p, std::size_t n, u32 value) {
   return simd_portable::CountEqualsU32(p, n, value);
 }
 
+inline u32 Crc32(const u8* p, std::size_t n, u32 seed) {
+  return simd_portable::Crc32(p, n, seed);
+}
+
 /// Best-effort prefetch hint; harmless to drop on compilers without one.
 inline void Prefetch(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -227,9 +228,28 @@ TEST_P(EngineConformanceTest, SnapshotFileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST_P(EngineConformanceTest, SnapshotFileCrcDerivesFromTheHeader) {
+  std::vector<u8> bytes =
+      AnyMatrix::Build(TestMatrix(), GetParam()).SaveSnapshotBytes();
+  EXPECT_EQ(SnapshotFileCrc32(bytes), Crc32(bytes.data(), bytes.size()));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSpecs, EngineConformanceTest,
                          ::testing::ValuesIn(ConformanceSpecs()),
                          SpecTestName);
+
+TEST(SnapshotFileCrcTest, V1FixturesDeriveTheirFileCrcFromTheHeader) {
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           GCM_TEST_DATA_DIR)) {
+    if (entry.path().extension() != ".gcsnap") continue;
+    std::vector<u8> bytes = ReadFileBytes(entry.path().string());
+    EXPECT_EQ(SnapshotFileCrc32(bytes), Crc32(bytes.data(), bytes.size()))
+        << entry.path();
+    ++files;
+  }
+  EXPECT_GE(files, 9u);  // five matrices, a store manifest, three shards
+}
 
 // --------------------------------------------------------------------------
 // Spec parser

@@ -342,6 +342,35 @@ TEST(RemoteShardedMatrixTest, ConnectRejectsWorkerWithOtherDimensions) {
   }
 }
 
+TEST(RemoteShardedMatrixTest, ConnectRejectsOneWrongShapedWorkerAtOnce) {
+  // A healthy 60x11 worker answers first; the 61x11 one must still fail
+  // Connect, not be tolerated like an unreachable endpoint.
+  AnyMatrix local = TestSharded(3);  // 60 x 11
+  Rng rng(9903);
+  TestServer good(local);
+  TestServer taller(
+      AnyMatrix::Build(DenseMatrix::Random(61, 11, 0.5, 5, &rng), "csr"));
+  const WorkerEndpoint good_endpoint{kHost, good.server->port()};
+  const WorkerEndpoint bad_endpoint{kHost, taller.server->port()};
+  ClusterManifest manifest;
+  manifest.rows = local.rows();
+  manifest.cols = local.cols();
+  manifest.ranges = {{0, 30, {good_endpoint}},
+                     {30, manifest.rows, {bad_endpoint, good_endpoint}}};
+  try {
+    RemoteShardedMatrix::Connect(manifest, {.max_attempts = 2});
+    FAIL() << "connect to a cluster with a 61x11 worker succeeded";
+  } catch (const RpcError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(e.code(), NetError::kDimensionMismatch);
+    EXPECT_NE(what.find(bad_endpoint.ToString()), std::string::npos) << what;
+    EXPECT_NE(what.find("61x11"), std::string::npos) << what;
+    EXPECT_NE(what.find("60x11"), std::string::npos) << what;
+    EXPECT_EQ(what.find("GCM_CHECK"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+  }
+}
+
 TEST(RemoteShardedMatrixTest, ConnectRejectsUnreachableCluster) {
   ClusterManifest manifest = SmallManifest();  // nothing listens there
   try {

@@ -275,10 +275,6 @@ TEST(NetProtocolTest, NetErrorNameIsTotal) {
 }
 
 TEST(NetProtocolTest, RequestTypeClassification) {
-  EXPECT_TRUE(IsRequestType(MsgType::kPing));
-  EXPECT_TRUE(IsRequestType(MsgType::kMvmRight));
-  EXPECT_FALSE(IsRequestType(MsgType::kMvmReply));
-  EXPECT_FALSE(IsRequestType(MsgType::kError));
   EXPECT_TRUE(IsKnownType(static_cast<u16>(MsgType::kPong)));
   EXPECT_FALSE(IsKnownType(0));
   EXPECT_FALSE(IsKnownType(12345));
@@ -295,11 +291,6 @@ TEST(NetProtocolTest, VersionTwoSpeaksExactlyEightFrameTypes) {
     }
   }
   EXPECT_EQ(known, (std::vector<u16>{1, 2, 3, 4, 64, 65, 66, 67}));
-  std::vector<u16> requests;
-  for (u16 type : known) {
-    if (IsRequestType(static_cast<MsgType>(type))) requests.push_back(type);
-  }
-  EXPECT_EQ(requests, (std::vector<u16>{1, 2, 3, 4}));
 }
 
 }  // namespace

@@ -309,6 +309,50 @@ TEST(MatrixStoreTest, CorruptShardFileFailsItsChecksumByName) {
   EXPECT_THROW(m.MultiplyRightInto(x, y), Error);
 }
 
+TEST(MatrixStoreTest, EverySingleByteFlipInAShardFileFailsItsChecksumByName) {
+  // The load gate reads only a shard's length and 12-byte header, and the
+  // parse makes the one pass over the body: between them, a flip anywhere
+  // must still fail the first touch, naming the file and the checksum.
+  DenseMatrix dense = TestMatrix();
+  std::string dir = TestTempPath("byteflip");
+  ShardManifest manifest =
+      MatrixStore::Partition(dense, "csrv", {.shards = 3}, dir);
+  const std::string& name = manifest.shards[1].file;
+  const std::string victim = (fs::path(dir) / name).string();
+  const std::vector<u8> original = ReadFileBytes(victim);
+  ASSERT_GT(original.size(), kSnapshotHeaderBytes);
+
+  Rng rng(2404);
+  std::vector<std::size_t> offsets;
+  for (std::size_t i = 0; i < kSnapshotHeaderBytes; ++i) offsets.push_back(i);
+  const u64 body_bytes = original.size() - kSnapshotHeaderBytes;
+  for (int i = 0; i < 32; ++i) {
+    offsets.push_back(kSnapshotHeaderBytes +
+                      static_cast<std::size_t>(rng.Next() % body_bytes));
+  }
+  for (std::size_t offset : offsets) {
+    std::vector<u8> bytes = original;
+    bytes[offset] ^= static_cast<u8>(1 + rng.Next() % 255);
+    WriteFileBytes(victim, bytes);
+    AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
+    try {
+      Sharded(m).LoadShard(1);
+      ADD_FAILURE() << "a flip of byte " << offset << " loaded";
+    } catch (const Error& e) {
+      std::string message = e.what();
+      EXPECT_NE(message.find(name), std::string::npos)
+          << "byte " << offset << ": " << message;
+      EXPECT_NE(message.find("checksum"), std::string::npos)
+          << "byte " << offset << ": " << message;
+    }
+  }
+
+  WriteFileBytes(victim, original);
+  AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
+  Sharded(m).LoadShard(1);
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(m.ToDense(), dense), 0.0);
+}
+
 TEST(MatrixStoreTest, MissingShardFileIsNamed) {
   DenseMatrix dense = TestMatrix();
   std::string dir = TestTempPath("missing");

@@ -1,5 +1,7 @@
 // SIMD facade conformance: every vector primitive must be bitwise
 // identical to the portable reference loops (util/simd_portable.hpp), the
+// CRC-32 kernels must agree with a bit-at-a-time reference over lengths,
+// offsets and chained seeds (and Crc32Combine with one pass), the
 // exact-division helper must agree with the hardware divide on the full
 // u32 range, and -- the hard contract of the SIMD tentpole -- every engine
 // kernel must produce bitwise-identical output with the vector unit on and
@@ -17,6 +19,7 @@
 
 #include "conformance_specs.hpp"
 #include "core/any_matrix.hpp"
+#include "encoding/snapshot.hpp"
 #include "matrix/dense_matrix.hpp"
 #include "util/fast_div.hpp"
 #include "util/rng.hpp"
@@ -150,6 +153,108 @@ TEST(SimdFacadeTest, ForcedScalarPrimitivesMatchVectorized) {
     simd::Axpy(scalar.data(), 2.5, x.data(), x.size());
   }
   EXPECT_TRUE(BitwiseEqual(vectorized, scalar));
+}
+
+// --------------------------------------------------------------------------
+// CRC-32: the folding kernel, slicing-by-8 and a bit-at-a-time reference
+// --------------------------------------------------------------------------
+
+/// The definition, one bit at a time (reflected polynomial 0xEDB88320).
+u32 BitwiseCrc32(const u8* p, std::size_t n, u32 seed) {
+  u32 crc = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<u8> RandomBytes(std::size_t n, u64 seed) {
+  Rng rng(seed);
+  std::vector<u8> bytes(n);
+  for (auto& b : bytes) b = static_cast<u8>(rng.Next());
+  return bytes;
+}
+
+/// Facade, forced-scalar facade and bitwise reference must agree on
+/// p[0, n) for `seed`.
+void ExpectCrcPathsAgree(const u8* p, std::size_t n, u32 seed) {
+  u32 facade = simd::Crc32(p, n, seed);
+  u32 scalar = 0;
+  {
+    simd::ScopedForceScalar force;
+    scalar = simd::Crc32(p, n, seed);
+  }
+  u32 reference = BitwiseCrc32(p, n, seed);
+  EXPECT_EQ(facade, reference) << "n=" << n << " seed=" << seed;
+  EXPECT_EQ(scalar, reference) << "n=" << n << " seed=" << seed;
+}
+
+TEST(SimdCrc32Test, CheckValueOnBothPaths) {
+  const u8 digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(simd::Crc32(digits, 9, 0), 0xcbf43926u);
+  simd::ScopedForceScalar force;
+  EXPECT_EQ(simd::Crc32(digits, 9, 0), 0xcbf43926u);
+}
+
+TEST(SimdCrc32Test, ShortLengthsAtEveryOffsetMatchBitwiseReference) {
+  // Lengths 0..300 cross the 64-byte fold threshold, every 16-byte tail
+  // and several 64-byte fold steps; offsets 0..63 walk every alignment.
+  std::vector<u8> bytes = RandomBytes(300 + 64, 17);
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      u32 seed = n % 3 == 0 ? 0u : static_cast<u32>(n * 2654435761u + offset);
+      ExpectCrcPathsAgree(bytes.data() + offset, n, seed);
+    }
+  }
+}
+
+TEST(SimdCrc32Test, LongBuffersAtEveryOffsetMatchBitwiseReference) {
+  const std::size_t lengths[] = {(64u << 10) + 13, (1u << 20) + 1};
+  std::vector<u8> bytes = RandomBytes((1u << 20) + 1 + 64, 18);
+  for (std::size_t n : lengths) {
+    for (std::size_t offset = 0; offset < 64; ++offset) {
+      ExpectCrcPathsAgree(bytes.data() + offset, n,
+                          static_cast<u32>(offset * 0x9e3779b9u));
+    }
+  }
+}
+
+TEST(SimdCrc32Test, ChainedSeedsEqualOnePass) {
+  std::vector<u8> bytes = RandomBytes(5000, 19);
+  Rng rng(20);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::size_t total = static_cast<std::size_t>(rng.Next() % bytes.size());
+    std::size_t split = static_cast<std::size_t>(rng.Next() % (total + 1));
+    const u8* a = bytes.data();
+    const u8* b = bytes.data() + split;
+    u32 whole = simd::Crc32(a, total, 0);
+    EXPECT_EQ(simd::Crc32(b, total - split, simd::Crc32(a, split, 0)), whole)
+        << "split " << split << " of " << total;
+    simd::ScopedForceScalar force;
+    EXPECT_EQ(simd::Crc32(b, total - split, simd::Crc32(a, split, 0)), whole)
+        << "split " << split << " of " << total << " (forced scalar)";
+  }
+}
+
+TEST(SimdCrc32Test, CombineMatchesOnePassOverRandomSplits) {
+  std::vector<u8> bytes = RandomBytes(70000, 21);
+  Rng rng(22);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::size_t total = static_cast<std::size_t>(rng.Next() % bytes.size());
+    std::size_t split = static_cast<std::size_t>(rng.Next() % (total + 1));
+    if (trial % 10 == 0) split = total;  // len2 = 0
+    if (trial % 10 == 1) split = 0;      // len1 = 0
+    u32 crc1 = Crc32(bytes.data(), split);
+    u32 crc2 = Crc32(bytes.data() + split, total - split);
+    EXPECT_EQ(Crc32Combine(crc1, crc2, total - split),
+              Crc32(bytes.data(), total))
+        << "split " << split << " of " << total;
+  }
+  EXPECT_EQ(Crc32Combine(0, 0, 0), 0u);
+  EXPECT_EQ(Crc32Combine(0x12345678u, 0, 0), 0x12345678u);
 }
 
 TEST(FastDivTest, DivideAndModMatchHardwareAcrossRanges) {
