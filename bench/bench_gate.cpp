@@ -15,7 +15,10 @@
 //     gated; sizes and ratios are informational and may legitimately move;
 //   * google-benchmark CSV (`name,iterations,real_time,cpu_time,...`)
 //     written by `micro_kernels --benchmark_out=... --benchmark_out_format=csv`
-//     -- cpu_time is gated.
+//     -- cpu_time is gated, except for rows google-benchmark names
+//     `<name>/real_time` (UseRealTime()), whose real_time is gated: their
+//     cpu_time counts the calling thread only and stays flat while it
+//     waits on slower pool workers.
 //
 // A missing baseline passes with a note (the first run of a new pipeline
 // has nothing to compare against), as do entries present on only one side
@@ -79,7 +82,8 @@ bool LoadTimings(const std::string& path, TimingMap* out) {
   // Find the header: either dialect's first parseable line.
   enum class Dialect { kUnknown, kTidy, kGoogleBenchmark } dialect =
       Dialect::kUnknown;
-  std::size_t time_column = 0;
+  std::size_t cpu_column = 0;
+  std::size_t real_column = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::vector<std::string> fields = SplitCsvLine(line);
@@ -92,9 +96,11 @@ bool LoadTimings(const std::string& path, TimingMap* out) {
       if (fields.size() >= 4 && fields[0] == "name") {
         dialect = Dialect::kGoogleBenchmark;
         for (std::size_t i = 0; i < fields.size(); ++i) {
-          if (fields[i] == "cpu_time") time_column = i;
+          if (fields[i] == "cpu_time") cpu_column = i;
+          if (fields[i] == "real_time") real_column = i;
         }
-        if (time_column == 0) return false;  // header without cpu_time
+        // A header missing either time column is not the dialect.
+        if (cpu_column == 0 || real_column == 0) return false;
         continue;
       }
       continue;  // google-benchmark context preamble etc.
@@ -107,6 +113,8 @@ bool LoadTimings(const std::string& path, TimingMap* out) {
       (*out)[fields[0] + "/" + fields[1] + "/" + fields[2] + "/" +
              fields[3]] = value;
     } else {
+      const std::size_t time_column =
+          fields[0].ends_with("/real_time") ? real_column : cpu_column;
       if (fields.size() <= time_column) continue;
       if (!ParseDouble(fields[time_column], &value)) continue;
       (*out)[fields[0]] = value;
@@ -235,6 +243,25 @@ int SelfTest(const std::string& tmp_dir) {
          "gb+counters: slower GB/s column alone passes");
   expect(RunGate(base, bad, 2.0, 0.0) == 1,
          "gb+counters: 4.5x cpu_time still fails");
+
+  // A UseRealTime() row gates real_time: tripled wall time fails even
+  // though the calling thread's cpu_time stayed flat. A plain row still
+  // gates cpu_time, so its real_time alone may move.
+  WriteFile(base, std::string(gb_header) +
+                      "BM_MvmPooled4/real_time,100,3.0,1.0,us,,,,,\n"
+                      "BM_MvmPlain,100,3.0,3.0,us,,,,,\n");
+  WriteFile(good, std::string(gb_header) +
+                      "BM_MvmPooled4/real_time,100,3.3,1.1,us,,,,,\n"
+                      "BM_MvmPlain,100,9.0,3.0,us,,,,,\n");
+  WriteFile(bad, std::string(gb_header) +
+                     "BM_MvmPooled4/real_time,100,9.0,1.0,us,,,,,\n");
+  expect(RunGate(base, good, 2.0, 0.0) == 0,
+         "gb real_time: plain row ignores a 3x real_time");
+  expect(RunGate(base, bad, 2.0, 0.0) == 1,
+         "gb real_time: 3x real_time fails with flat cpu_time");
+  WriteFile(bad, std::string(gb_header) + "BM_MvmPlain,100,3.0,9.0,us,,,,,\n");
+  expect(RunGate(base, bad, 2.0, 0.0) == 1,
+         "gb real_time: plain row's 3x cpu_time still fails");
 
   if (failures == 0) std::printf("bench_gate self-test: all checks passed\n");
   return failures == 0 ? 0 : 1;

@@ -1,9 +1,9 @@
 // Microbenchmarks of the individual kernels (google-benchmark): RePair
 // construction, rANS encode/decode, packed-array access, the four MVM
-// formats, engine dispatch, CSM computation, CLA compression and the
-// CRC-32 checksum. These quantify the constant factors behind the
-// table-level results (e.g. why re_32 multiplies faster than re_iv, and
-// re_iv faster than re_ans).
+// formats, the pooled blocked multiply, engine dispatch, CSM computation,
+// CLA compression and the CRC-32 checksum. These quantify the constant
+// factors behind the table-level results (e.g. why re_32 multiplies
+// faster than re_iv, and re_iv faster than re_ans).
 //
 //   $ ./micro_kernels            # full timed run
 //   $ ./micro_kernels --smoke    # every kernel exactly once, untimed
@@ -221,6 +221,46 @@ void BM_MvmLeftMulti16Re32(benchmark::State& state) {
   SetMvmThroughput(state, m.CompressedBytes(), m.rows() * kMultiK);
 }
 BENCHMARK(BM_MvmLeftMulti16Re32)->Unit(benchmark::kMicrosecond);
+
+// The engine's parallel grain for one vector: the row blocks of a blocked
+// grammar matrix, one task each on a 4-thread pool, in the spec that
+// perfbench's solve workload multiplies. Wall time is the honest measure
+// of a pooled call (cpu_time would only show the calling thread), so both
+// rows use real time and bench_gate gates their real_time column.
+const AnyMatrix& CensusBlockedReAns() {
+  static const AnyMatrix m =
+      AnyMatrix::Build(CensusMatrix(), "gcm:re_ans?blocks=4");
+  return m;
+}
+
+void BlockedMvmPooled4(benchmark::State& state, bool right) {
+  const AnyMatrix& m = CensusBlockedReAns();
+  ThreadPool pool(4);
+  std::vector<double> in = RandomVector(right ? m.cols() : m.rows(), 19);
+  std::vector<double> out(right ? m.rows() : m.cols());
+  for (auto _ : state) {
+    if (right) {
+      m.MultiplyRightInto(in, out, {&pool});
+    } else {
+      m.MultiplyLeftInto(in, out, {&pool});
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  SetMvmThroughput(state, m.CompressedBytes(), m.rows());
+}
+void BM_BlockedMvmRightReAnsPooled4(benchmark::State& s) {
+  BlockedMvmPooled4(s, /*right=*/true);
+}
+void BM_BlockedMvmLeftReAnsPooled4(benchmark::State& s) {
+  BlockedMvmPooled4(s, /*right=*/false);
+}
+BENCHMARK(BM_BlockedMvmRightReAnsPooled4)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+BENCHMARK(BM_BlockedMvmLeftReAnsPooled4)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // Raw facade primitive: the peak the kb-wide kernels chase. The run name
 // carries the compiled backend so scalar and avx2 CSVs are tellable apart.

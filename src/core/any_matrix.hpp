@@ -89,7 +89,9 @@ template <typename M>
 concept EngineBackend = EngineBackends::kContains<M>;
 
 /// Uniform execution context handed to every engine kernel. Backends that
-/// cannot exploit a field ignore it.
+/// cannot exploit a field ignore it. A pool changes how fast a kernel runs,
+/// never its bits: backends split work at fixed grains (row blocks, shards,
+/// column groups, vector batches) and reduce in a fixed order.
 struct MulContext {
   ThreadPool* pool = nullptr;  ///< worker pool; nullptr = sequential
 };

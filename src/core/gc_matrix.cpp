@@ -6,7 +6,6 @@
 #include "util/check.hpp"
 #include "util/enum_names.hpp"
 #include "util/fast_div.hpp"
-#include "util/partials.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -192,10 +191,6 @@ std::vector<double> GcMatrix::MultiplyLeft(const std::vector<double>& y) const {
 
 namespace {
 
-/// Minimum C symbols per worker before the two-pass chunked scan pays for
-/// its extra sentinel-counting pass.
-constexpr std::size_t kParallelScanGrain = 4096;
-
 /// Magic-multiply divisor for decoding packed terminals
 /// (value_id = packed / cols, column = packed - value_id * cols); exact,
 /// so symbol decoding is bitwise unchanged. A zero-column block's
@@ -207,54 +202,8 @@ U32Divisor ColsDivisor(std::size_t cols) {
 
 }  // namespace
 
-u32 GcMatrix::FinalSymbolAt(std::size_t i) const {
-  GCM_DCHECK(format_ != GcFormat::kReAns);
-  return format_ == GcFormat::kReIv ? static_cast<u32>(c_packed_.Get(i))
-                                    : c_plain_[i];
-}
-
-std::size_t GcMatrix::ScanChunkCount(const ThreadPool* pool) const {
-  if (pool == nullptr || format_ == GcFormat::kReAns || rows_ == 0) return 1;
-  std::size_t by_grain = c_length_ / kParallelScanGrain;
-  return std::max<std::size_t>(1, std::min(pool->size(), by_grain));
-}
-
-std::vector<std::size_t> GcMatrix::ChunkRowStarts(std::size_t chunks,
-                                                  ThreadPool* pool) const {
-  std::size_t per_chunk = (c_length_ + chunks - 1) / chunks;
-  std::vector<std::size_t> counts(chunks, 0);
-  pool->ParallelFor(chunks, [&](std::size_t c) {
-    std::size_t begin = c * per_chunk;
-    std::size_t end = std::min(c_length_, begin + per_chunk);
-    // Only the random-access formats reach here (re_ans scans run with
-    // chunks == 1); the plain u32 encodings count sentinels with the
-    // vectorized exact-match primitive, bit-packed C walks element-wise.
-    if (format_ != GcFormat::kReIv) {
-      counts[c] =
-          simd::CountEqualsU32(c_plain_.data() + begin, end - begin,
-                               kCsrvSentinel);
-      return;
-    }
-    std::size_t sentinels = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (FinalSymbolAt(i) == kCsrvSentinel) ++sentinels;
-    }
-    counts[c] = sentinels;
-  });
-  std::vector<std::size_t> starts(chunks, 0);
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    starts[c] = total;
-    total += counts[c];
-  }
-  GCM_CHECK_MSG(total == rows_, "compressed sequence closed " << total
-                                    << " rows, expected " << rows_);
-  return starts;
-}
-
 void GcMatrix::MultiplyRightInto(std::span<const double> x,
-                                 std::span<double> y,
-                                 ThreadPool* pool) const {
+                                 std::span<double> y) const {
   GCM_CHECK_MSG(x.size() == cols_, "MultiplyRight: wrong vector length");
   GCM_CHECK_MSG(y.size() == rows_, "MultiplyRight: wrong output length");
   const std::vector<double>& dict = *dict_;
@@ -283,12 +232,6 @@ void GcMatrix::MultiplyRightInto(std::span<const double> x,
     w[i] = eval(RuleLeft(i)) + eval(RuleRight(i));
   }
 
-  std::size_t chunks = ScanChunkCount(pool);
-  if (chunks > 1) {
-    ParallelRightScan(x, y, w, chunks, pool);
-    return;
-  }
-
   // Scan of C: accumulate per-row partial sums, closing a row at each
   // sentinel (C may interleave terminals and nonterminals; Section 4).
   std::size_t row = 0;
@@ -305,78 +248,8 @@ void GcMatrix::MultiplyRightInto(std::span<const double> x,
                                   << " rows, expected " << rows_);
 }
 
-void GcMatrix::ParallelRightScan(std::span<const double> x,
-                                 std::span<double> y,
-                                 const std::vector<double>& w,
-                                 std::size_t chunks, ThreadPool* pool) const {
-  const std::vector<double>& dict = *dict_;
-  const u32 cols = static_cast<u32>(cols_);
-  const U32Divisor by_cols = ColsDivisor(cols_);
-  std::vector<std::size_t> row_start = ChunkRowStarts(chunks, pool);
-  std::size_t per_chunk = (c_length_ + chunks - 1) / chunks;
-
-  // Per chunk: the partial sum before its first sentinel (head), the
-  // partial after its last sentinel (tail), and whether it saw a sentinel
-  // at all. Rows fully inside a chunk are written to y directly; the rows
-  // cut by chunk boundaries are stitched sequentially below.
-  std::vector<double> head(chunks, 0.0);
-  std::vector<double> tail(chunks, 0.0);
-  std::vector<u8> closed_row(chunks, 0);
-  pool->ParallelFor(chunks, [&](std::size_t c) {
-    std::size_t begin = c * per_chunk;
-    std::size_t end = std::min(c_length_, begin + per_chunk);
-    std::size_t row = row_start[c];
-    bool saw_sentinel = false;
-    double acc = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      u32 symbol = FinalSymbolAt(i);
-      if (symbol != kCsrvSentinel) {
-        if (symbol >= alphabet_size_) {
-          GCM_DCHECK_BOUNDS(symbol - alphabet_size_, w.size());
-          acc += w[symbol - alphabet_size_];
-        } else {
-          u32 packed = symbol - 1;
-          u32 value_id = by_cols.Divide(packed);
-          GCM_DCHECK_BOUNDS(value_id, dict.size());
-          acc += dict[value_id] * x[packed - value_id * cols];
-        }
-        continue;
-      }
-      if (!saw_sentinel) {
-        head[c] = acc;  // closes row_start[c]; needs the previous chunks
-        saw_sentinel = true;
-      } else {
-        y[row] = acc;  // row fully contained in this chunk
-      }
-      ++row;
-      acc = 0.0;
-    }
-    if (!saw_sentinel) {
-      head[c] = acc;  // whole chunk is one partial row
-    }
-    tail[c] = acc;
-    closed_row[c] = saw_sentinel ? 1 : 0;
-  });
-
-  // Stitch boundary rows: carry the running partial of the row that is
-  // open at each chunk boundary.
-  double carry = 0.0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    if (closed_row[c]) {
-      y[row_start[c]] = carry + head[c];
-      carry = tail[c];
-    } else {
-      carry += head[c];
-    }
-  }
-  // Every row is sentinel-terminated, so the final carry is the (empty)
-  // partial after the last sentinel.
-  GCM_DCHECK(carry == 0.0);
-}
-
 void GcMatrix::MultiplyLeftInto(std::span<const double> y,
-                                std::span<double> x,
-                                ThreadPool* pool) const {
+                                std::span<double> x) const {
   GCM_CHECK_MSG(y.size() == rows_, "MultiplyLeft: wrong vector length");
   GCM_CHECK_MSG(x.size() == cols_, "MultiplyLeft: wrong output length");
   const std::vector<double>& dict = *dict_;
@@ -387,31 +260,26 @@ void GcMatrix::MultiplyLeftInto(std::span<const double> y,
   // Scan of C: seed W with row weights for nonterminals appearing in C;
   // terminals in C contribute directly (Section 4's generalization).
   std::vector<double> w(rule_count_, 0.0);
-  std::size_t chunks = ScanChunkCount(pool);
-  if (chunks > 1) {
-    ParallelLeftScan(y, x, &w, chunks, pool);
-  } else {
-    std::size_t row = 0;
-    ForEachFinalSymbol([&](u32 symbol) {
-      if (symbol == kCsrvSentinel) {
-        ++row;
-        return;
-      }
-      if (symbol >= alphabet_size_) {
-        GCM_DCHECK_BOUNDS(symbol - alphabet_size_, w.size());
-        GCM_DCHECK_BOUNDS(row, rows_);
-        w[symbol - alphabet_size_] += y[row];
-      } else {
-        u32 packed = symbol - 1;
-        u32 value_id = by_cols.Divide(packed);
-        GCM_DCHECK_BOUNDS(value_id, dict.size());
-        GCM_DCHECK_BOUNDS(row, rows_);
-        x[packed - value_id * cols] += y[row] * dict[value_id];
-      }
-    });
-    GCM_CHECK_MSG(row == rows_, "compressed sequence closed " << row
-                                    << " rows, expected " << rows_);
-  }
+  std::size_t row = 0;
+  ForEachFinalSymbol([&](u32 symbol) {
+    if (symbol == kCsrvSentinel) {
+      ++row;
+      return;
+    }
+    if (symbol >= alphabet_size_) {
+      GCM_DCHECK_BOUNDS(symbol - alphabet_size_, w.size());
+      GCM_DCHECK_BOUNDS(row, rows_);
+      w[symbol - alphabet_size_] += y[row];
+    } else {
+      u32 packed = symbol - 1;
+      u32 value_id = by_cols.Divide(packed);
+      GCM_DCHECK_BOUNDS(value_id, dict.size());
+      GCM_DCHECK_BOUNDS(row, rows_);
+      x[packed - value_id * cols] += y[row] * dict[value_id];
+    }
+  });
+  GCM_CHECK_MSG(row == rows_, "compressed sequence closed " << row
+                                  << " rows, expected " << rows_);
 
   // Backward pass over R (Lemma 3.9): when rule j is reached, W[j] already
   // equals sum_y(N_j); push it into children or accumulate into x.
@@ -431,50 +299,6 @@ void GcMatrix::MultiplyLeftInto(std::span<const double> y,
       }
     }
   }
-}
-
-void GcMatrix::ParallelLeftScan(std::span<const double> y,
-                                std::span<double> x, std::vector<double>* w,
-                                std::size_t chunks, ThreadPool* pool) const {
-  const std::vector<double>& dict = *dict_;
-  const u32 cols = static_cast<u32>(cols_);
-  const U32Divisor by_cols = ColsDivisor(cols_);
-  std::vector<std::size_t> row_start = ChunkRowStarts(chunks, pool);
-  std::size_t per_chunk = (c_length_ + chunks - 1) / chunks;
-
-  // Chunks scatter into W and x, so each keeps private accumulators
-  // (O(chunks * (|R| + cols)) words, the same order as the multi-vector
-  // kernels' auxiliary space); the chunk-order reduction restores
-  // scheduling-independent determinism without atomics.
-  PartialVectors w_parts(chunks, rule_count_);
-  PartialVectors x_parts(chunks, cols_);
-  pool->ParallelFor(chunks, [&](std::size_t c) {
-    std::size_t begin = c * per_chunk;
-    std::size_t end = std::min(c_length_, begin + per_chunk);
-    std::span<double> local_w = w_parts.part(c);
-    std::span<double> local_x = x_parts.part(c);
-    std::size_t row = row_start[c];
-    for (std::size_t i = begin; i < end; ++i) {
-      u32 symbol = FinalSymbolAt(i);
-      if (symbol == kCsrvSentinel) {
-        ++row;
-        continue;
-      }
-      if (symbol >= alphabet_size_) {
-        GCM_DCHECK_BOUNDS(symbol - alphabet_size_, local_w.size());
-        GCM_DCHECK_BOUNDS(row, rows_);
-        local_w[symbol - alphabet_size_] += y[row];
-      } else {
-        u32 packed = symbol - 1;
-        u32 value_id = by_cols.Divide(packed);
-        GCM_DCHECK_BOUNDS(value_id, dict.size());
-        GCM_DCHECK_BOUNDS(row, rows_);
-        local_x[packed - value_id * cols] += y[row] * dict[value_id];
-      }
-    }
-  });
-  w_parts.AccumulateInto(*w);
-  x_parts.AccumulateInto(x);
 }
 
 namespace {

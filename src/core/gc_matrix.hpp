@@ -115,20 +115,11 @@ class GcMatrix {
   /// fully overwritten (x: cols() entries, y: rows() entries; input and
   /// output must not alias). The O(|R|) W array is still allocated
   /// internally -- it is the auxiliary space of Theorems 3.4/3.10, not
-  /// part of the result.
-  ///
-  /// When `pool` is given and C is randomly accessible (every format but
-  /// re_ans, whose stream decodes strictly forward), the scan of C is
-  /// split into per-worker chunks: a first parallel pass counts row
-  /// sentinels per chunk, a prefix sum assigns each chunk its starting
-  /// row, and a second parallel pass evaluates the chunks independently --
-  /// rows split across a chunk boundary are stitched by an O(#chunks)
-  /// sequential fix-up. The R passes keep their sequential dependency
-  /// chain. Short sequences and re_ans fall back to the sequential scan.
-  void MultiplyRightInto(std::span<const double> x, std::span<double> y,
-                         ThreadPool* pool = nullptr) const;
-  void MultiplyLeftInto(std::span<const double> y, std::span<double> x,
-                        ThreadPool* pool = nullptr) const;
+  /// part of the result. Both run on the calling thread: the parallel
+  /// grain is the row block (BlockedGcMatrix), as in the paper's Section 4.1.
+  void MultiplyRightInto(std::span<const double> x,
+                         std::span<double> y) const;
+  void MultiplyLeftInto(std::span<const double> y, std::span<double> x) const;
 
   /// Y = M X for a dense right-hand side X (cols x k) into the caller's
   /// Y (rows x k, fully overwritten): the multi-vector generalization of
@@ -203,26 +194,6 @@ class GcMatrix {
   /// Iterates the final sequence C in order, invoking fn(symbol).
   template <typename F>
   void ForEachFinalSymbol(F&& fn) const;
-
-  /// Random access into C; valid for every format but kReAns.
-  u32 FinalSymbolAt(std::size_t i) const;
-
-  /// Chunks the scan of C for `pool`: 1 = run sequentially (no pool, a
-  /// forward-only C encoding, or a sequence too short to amortize the
-  /// two-pass overhead).
-  std::size_t ScanChunkCount(const ThreadPool* pool) const;
-
-  /// Per-chunk sentinel counts over C and their exclusive prefix sum (the
-  /// starting row of each chunk); validates the total against rows().
-  std::vector<std::size_t> ChunkRowStarts(std::size_t chunks,
-                                          ThreadPool* pool) const;
-
-  void ParallelRightScan(std::span<const double> x, std::span<double> y,
-                         const std::vector<double>& w, std::size_t chunks,
-                         ThreadPool* pool) const;
-  void ParallelLeftScan(std::span<const double> y, std::span<double> x,
-                        std::vector<double>* w, std::size_t chunks,
-                        ThreadPool* pool) const;
 
   /// Multi-vector kernels restricted to the column batch [t0, t1) of X;
   /// the unit of work of the pool-parallel Multi drivers.

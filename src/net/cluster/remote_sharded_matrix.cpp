@@ -128,14 +128,11 @@ void RemoteShardedMatrix::SendJob(RangeJob& job, bool right,
     }
     try {
       Channel& channel = GetChannel(worker);
-      // A range covering the whole matrix travels as (0, 0) -- the wire
-      // spelling of "every row" -- so even an unsharded worker serves it.
-      u64 begin = range.row_begin;
-      u64 end = range.row_end;
-      if (begin == 0 && end == manifest_.rows) end = 0;
-      job.request_id = right
-                           ? channel.client->SendMvmRight(job.x, begin, end)
-                           : channel.client->SendMvmLeft(job.x, begin, end);
+      job.request_id =
+          right ? channel.client->SendMvmRight(job.x, range.row_begin,
+                                               range.row_end)
+                : channel.client->SendMvmLeft(job.x, range.row_begin,
+                                              range.row_end);
       job.channel_key = key;
       job.epoch = channel.epoch;
       job.sent = true;

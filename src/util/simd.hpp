@@ -7,7 +7,6 @@
 //   simd::Add(out, a, n)            out[i] += a[i]
 //   simd::Axpy(out, v, x, n)        out[i] += v * x[i]   (never fused)
 //   simd::AnyNonZero(p, n)          any p[i] != 0.0 (NaN counts)
-//   simd::CountEqualsU32(p, n, v)   exact match count
 //   simd::Crc32(p, n, seed)         CRC-32 (0xEDB88320), chained seeds
 //   simd::Prefetch(p)               cache-line hint
 //   simd::ScopedForceScalar         route to scalar loops at runtime

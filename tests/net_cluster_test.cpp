@@ -260,48 +260,94 @@ TEST(ClusterProtocolTest, MisalignedLeftRangeIsNamedError) {
 // --------------------------------------------------------------------------
 
 TEST(RemoteShardedMatrixTest, ScatterGatherBitwiseEqualToLocal) {
-  AnyMatrix local = TestSharded(3);
-  auto cluster = LoopbackCluster::Start(local, {.workers = 2});
-  ASSERT_GE(cluster->worker_count(), 2u);
-  ASSERT_EQ(cluster->manifest().ranges.size(), 3u);
-  const RemoteShardedMatrix& remote = cluster->remote();
+  // The second cluster's workers run their kernels on a pool, over
+  // 1600-row shards whose scan would show any split across threads: the
+  // answer must not depend on the workers' kernel_threads.
+  Rng rng(9904);
+  LoopbackClusterOptions pooled{.workers = 2};
+  pooled.server.kernel_threads = 2;
+  struct Input {
+    AnyMatrix local;
+    LoopbackClusterOptions options;
+  };
+  const Input inputs[] = {
+      {TestSharded(3), {.workers = 2}},
+      {AnyMatrix::Build(DenseMatrix::Random(3200, 30, 0.5, 5, &rng),
+                        "sharded?inner=gcm:re_32&shards=2"),
+       pooled},
+  };
+  for (const Input& input : inputs) {
+    const AnyMatrix& local = input.local;
+    SCOPED_TRACE(local.FormatTag() + ", kernel_threads " +
+                 std::to_string(input.options.server.kernel_threads));
+    const std::size_t ranges =
+        ShardedMatrix::FromKernel(local.kernel())->shard_count();
+    auto cluster = LoopbackCluster::Start(local, input.options);
+    ASSERT_GE(cluster->worker_count(), 2u);
+    ASSERT_EQ(cluster->manifest().ranges.size(), ranges);
+    const RemoteShardedMatrix& remote = cluster->remote();
 
-  std::vector<double> x = RandomVector(local.cols(), 51);
-  std::vector<double> y = RandomVector(local.rows(), 52);
+    std::vector<double> x = RandomVector(local.cols(), 51);
+    std::vector<double> y = RandomVector(local.rows(), 52);
+    std::vector<double> right(local.rows());
+    std::vector<double> left(local.cols());
+    remote.MultiplyRightInto(x, right, {});
+    remote.MultiplyLeftInto(y, left, {});
+    EXPECT_TRUE(BitwiseEqual(right, local.MultiplyRight(x)));
+    EXPECT_TRUE(BitwiseEqual(left, local.MultiplyLeft(y)));
+
+    // Multi-vector scatter: every column/row bitwise equal too.
+    const std::size_t k = 4;
+    Rng xs_rng(53);
+    DenseMatrix xr(local.cols(), k);
+    DenseMatrix xl(k, local.rows());
+    for (std::size_t r = 0; r < xr.rows(); ++r)
+      for (std::size_t c = 0; c < k; ++c)
+        xr.Set(r, c, xs_rng.NextDouble() * 2.0 - 1.0);
+    for (std::size_t r = 0; r < k; ++r)
+      for (std::size_t c = 0; c < xl.cols(); ++c)
+        xl.Set(r, c, xs_rng.NextDouble() * 2.0 - 1.0);
+    DenseMatrix right_multi(local.rows(), k);
+    DenseMatrix left_multi(k, local.cols());
+    remote.MultiplyRightMulti(xr, &right_multi, {});
+    remote.MultiplyLeftMulti(xl, &left_multi, {});
+    EXPECT_EQ(
+        DenseMatrix::MaxAbsDiff(right_multi, local.MultiplyRightMulti(xr)),
+        0.0);
+    EXPECT_EQ(DenseMatrix::MaxAbsDiff(left_multi, local.MultiplyLeftMulti(xl)),
+              0.0);
+
+    // ToDense is one identity-input scatter.
+    EXPECT_EQ(DenseMatrix::MaxAbsDiff(remote.ToDense(), local.ToDense()), 0.0);
+
+    ClusterStats stats = remote.stats();
+    EXPECT_GE(stats.scatters, 5u);
+    EXPECT_GE(stats.requests_sent, ranges * 2u);
+    EXPECT_EQ(stats.retries, 0u);
+  }
+}
+
+TEST(RemoteShardedMatrixTest, OneFullRangeOverAnUnshardedWorker) {
+  // A manifest whose one range is every row, spelled (0, rows): the
+  // worker serves its unsharded matrix as one shard, so the explicit
+  // range is shard-aligned in both directions.
+  AnyMatrix local = AnyMatrix::Build(TestDense(), "csr");
+  TestServer worker(local);
+  ClusterManifest manifest;
+  manifest.rows = local.rows();
+  manifest.cols = local.cols();
+  manifest.ranges = {{0, manifest.rows, {{kHost, worker.server->port()}}}};
+  auto remote = RemoteShardedMatrix::Connect(manifest, {.max_attempts = 1});
+
+  std::vector<double> x = RandomVector(local.cols(), 54);
+  std::vector<double> y = RandomVector(local.rows(), 55);
   std::vector<double> right(local.rows());
   std::vector<double> left(local.cols());
-  remote.MultiplyRightInto(x, right, {});
-  remote.MultiplyLeftInto(y, left, {});
+  remote->MultiplyRightInto(x, right, {});
+  remote->MultiplyLeftInto(y, left, {});
   EXPECT_TRUE(BitwiseEqual(right, local.MultiplyRight(x)));
   EXPECT_TRUE(BitwiseEqual(left, local.MultiplyLeft(y)));
-
-  // Multi-vector scatter: every column/row bitwise equal too.
-  const std::size_t k = 4;
-  Rng rng(53);
-  DenseMatrix xr(local.cols(), k);
-  DenseMatrix xl(k, local.rows());
-  for (std::size_t r = 0; r < xr.rows(); ++r)
-    for (std::size_t c = 0; c < k; ++c)
-      xr.Set(r, c, rng.NextDouble() * 2.0 - 1.0);
-  for (std::size_t r = 0; r < k; ++r)
-    for (std::size_t c = 0; c < xl.cols(); ++c)
-      xl.Set(r, c, rng.NextDouble() * 2.0 - 1.0);
-  DenseMatrix right_multi(local.rows(), k);
-  DenseMatrix left_multi(k, local.cols());
-  remote.MultiplyRightMulti(xr, &right_multi, {});
-  remote.MultiplyLeftMulti(xl, &left_multi, {});
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(right_multi, local.MultiplyRightMulti(xr)),
-            0.0);
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(left_multi, local.MultiplyLeftMulti(xl)),
-            0.0);
-
-  // ToDense is one identity-input scatter.
-  EXPECT_EQ(DenseMatrix::MaxAbsDiff(remote.ToDense(), local.ToDense()), 0.0);
-
-  ClusterStats stats = remote.stats();
-  EXPECT_GE(stats.scatters, 5u);
-  EXPECT_GE(stats.requests_sent, 3u * 2u);
-  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(remote->stats().retries, 0u);
 }
 
 TEST(RemoteShardedMatrixTest, CoordinatorReExportsTheOrdinaryProtocol) {

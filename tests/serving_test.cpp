@@ -517,54 +517,79 @@ TEST(ShardedMatrixTest, FromShardsValidatesShape) {
 // --------------------------------------------------------------------------
 
 TEST(ShardedMatrixTest, PooledAndSequentialRangeBatchesAreBitwiseEqual) {
-  DenseMatrix dense = TestMatrix();  // 60 rows
-  AnyMatrix m = AnyMatrix::Build(dense, "sharded?inner=gcm:re_32&shards=4");
-  const ShardedMatrix& sharded = Sharded(m);  // shards of 15 rows
-  ThreadPool pool(3);
   struct Case {
     MvmDirection dir;
     std::size_t begin;
     std::size_t end;
   };
+  struct Input {
+    DenseMatrix dense;
+    std::string spec;
+    std::vector<Case> cases;
+  };
+  Rng rng(2025);
   // Right: partly covered shards at both ends, a range inside one shard,
-  // the full range. Left (shard-aligned only): two shards, one shard, all.
-  for (const Case& c : {Case{MvmDirection::kRight, 7, 52},
-                        Case{MvmDirection::kRight, 16, 29},
-                        Case{MvmDirection::kRight, 0, 60},
-                        Case{MvmDirection::kLeft, 15, 45},
-                        Case{MvmDirection::kLeft, 30, 45},
-                        Case{MvmDirection::kLeft, 0, 60}}) {
-    const bool right = c.dir == MvmDirection::kRight;
-    const std::string where = std::string(right ? "right" : "left") + " [" +
-                              std::to_string(c.begin) + ", " +
-                              std::to_string(c.end) + ")";
-    for (std::size_t k : {1u, 3u}) {
-      std::vector<std::vector<double>> xs;
-      for (std::size_t j = 0; j < k; ++j) {
-        xs.push_back(RandomVector(right ? m.cols() : c.end - c.begin,
-                                  300 + 10 * k + j));
-      }
-      auto sequential = RunBatch(sharded, c.dir, c.begin, c.end, xs, {});
-      auto pooled = RunBatch(sharded, c.dir, c.begin, c.end, xs, {&pool});
-      for (std::size_t j = 0; j < k; ++j) {
-        EXPECT_TRUE(BitwiseEqual(pooled[j], sequential[j]))
-            << where << " k=" << k << " vector " << j;
-        // Vector j of a batch is the k = 1 call on its input.
-        auto single = RunBatch(sharded, c.dir, c.begin, c.end, {xs[j]}, {});
-        EXPECT_TRUE(BitwiseEqual(sequential[j], single[0]))
-            << where << " k=" << k << " vector " << j;
-        if (right) {
-          // A right range is rows of the full multiply.
-          std::vector<double> full = m.MultiplyRight(xs[j]);
-          EXPECT_TRUE(BitwiseEqual(
-              sequential[j],
-              std::vector<double>(
-                  full.begin() + static_cast<std::ptrdiff_t>(c.begin),
-                  full.begin() + static_cast<std::ptrdiff_t>(c.end))))
-              << where;
-        } else if (c.begin == 0 && c.end == m.rows()) {
-          EXPECT_TRUE(BitwiseEqual(sequential[j], m.MultiplyLeft(xs[j])))
-              << where;
+  // the full range. Left (shard-aligned only): over several shards, over
+  // one, and the full range. The second input's 1600-row shards are large
+  // enough that a range over one shard, which hands the pool to that
+  // shard's kernel, would show any split of the kernel's scan across
+  // threads.
+  const Input inputs[] = {
+      {TestMatrix(),  // shards of 15 rows
+       "sharded?inner=gcm:re_32&shards=4",
+       {{MvmDirection::kRight, 7, 52},
+        {MvmDirection::kRight, 16, 29},
+        {MvmDirection::kRight, 0, 60},
+        {MvmDirection::kLeft, 15, 45},
+        {MvmDirection::kLeft, 30, 45},
+        {MvmDirection::kLeft, 0, 60}}},
+      {DenseMatrix::Random(3200, 30, 0.5, 5, &rng),  // shards of 1600 rows
+       "sharded?inner=gcm:re_32&shards=2",
+       {{MvmDirection::kRight, 400, 2900},
+        {MvmDirection::kRight, 1700, 2500},
+        {MvmDirection::kRight, 0, 3200},
+        {MvmDirection::kLeft, 0, 1600},
+        {MvmDirection::kLeft, 1600, 3200},
+        {MvmDirection::kLeft, 0, 3200}}},
+  };
+  ThreadPool pool(3);
+  for (const Input& input : inputs) {
+    AnyMatrix m = AnyMatrix::Build(input.dense, input.spec);
+    const ShardedMatrix& sharded = Sharded(m);
+    for (const Case& c : input.cases) {
+      const bool right = c.dir == MvmDirection::kRight;
+      const std::string where = input.spec + (right ? " right [" : " left [") +
+                                std::to_string(c.begin) + ", " +
+                                std::to_string(c.end) + ")";
+      for (std::size_t k : {1u, 3u}) {
+        std::vector<std::vector<double>> xs;
+        for (std::size_t j = 0; j < k; ++j) {
+          xs.push_back(RandomVector(right ? m.cols() : c.end - c.begin,
+                                    300 + 10 * k + j));
+        }
+        auto sequential = RunBatch(sharded, c.dir, c.begin, c.end, xs, {});
+        auto pooled = RunBatch(sharded, c.dir, c.begin, c.end, xs, {&pool});
+        for (std::size_t j = 0; j < k; ++j) {
+          EXPECT_TRUE(BitwiseEqual(pooled[j], sequential[j]))
+              << where << " k=" << k << " vector " << j;
+          // Vector j of a batch is the k = 1 call on its input.
+          auto single =
+              RunBatch(sharded, c.dir, c.begin, c.end, {xs[j]}, {});
+          EXPECT_TRUE(BitwiseEqual(sequential[j], single[0]))
+              << where << " k=" << k << " vector " << j;
+          if (right) {
+            // A right range is rows of the full multiply.
+            std::vector<double> full = m.MultiplyRight(xs[j]);
+            EXPECT_TRUE(BitwiseEqual(
+                sequential[j],
+                std::vector<double>(
+                    full.begin() + static_cast<std::ptrdiff_t>(c.begin),
+                    full.begin() + static_cast<std::ptrdiff_t>(c.end))))
+                << where;
+          } else if (c.begin == 0 && c.end == m.rows()) {
+            EXPECT_TRUE(BitwiseEqual(sequential[j], m.MultiplyLeft(xs[j])))
+                << where;
+          }
         }
       }
     }

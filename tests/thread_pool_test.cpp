@@ -49,8 +49,8 @@ TEST(ThreadPoolNestingTest, NestedParallelForFromSubmittedTaskCompletes) {
 }
 
 TEST(ThreadPoolNestingTest, TripleNestingCompletesOnSmallPool) {
-  // Three levels deep on two workers: sharded store build -> blocked inner
-  // build -> chunked kernel scan is exactly this shape.
+  // Three levels deep on two workers: one deeper than the deepest fan-out
+  // in the tree, a sharded store build over a blocked inner spec.
   ThreadPool pool(2);
   std::atomic<int> visits{0};
   pool.ParallelFor(3, [&](std::size_t) {
