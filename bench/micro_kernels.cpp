@@ -143,9 +143,11 @@ BENCHMARK(BM_PlainVectorAccess);
 void MvmRight(benchmark::State& state, GcFormat format) {
   GcMatrix gc = GcMatrix::FromCsrv(CensusCsrv(), {format, 12, 0});
   std::vector<double> x = RandomVector(gc.cols(), 5);
+  std::vector<double> y(gc.rows());
   for (auto _ : state) {
-    std::vector<double> y = gc.MultiplyRight(x);
+    gc.MultiplyRightInto(x, y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   SetMvmThroughput(state, gc.CompressedBytes(), gc.rows());
 }
@@ -161,9 +163,11 @@ BENCHMARK(BM_MvmRightReAns)->Unit(benchmark::kMicrosecond);
 void MvmLeft(benchmark::State& state, GcFormat format) {
   GcMatrix gc = GcMatrix::FromCsrv(CensusCsrv(), {format, 12, 0});
   std::vector<double> y = RandomVector(gc.rows(), 6);
+  std::vector<double> x(gc.cols());
   for (auto _ : state) {
-    std::vector<double> x = gc.MultiplyLeft(y);
+    gc.MultiplyLeftInto(y, x);
     benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
   SetMvmThroughput(state, gc.CompressedBytes(), gc.rows());
 }
@@ -348,9 +352,11 @@ BENCHMARK(BM_ClaCompress)->Unit(benchmark::kMillisecond);
 void BM_ClaMvmRight(benchmark::State& state) {
   ClaMatrix cla = ClaMatrix::Compress(CensusMatrix());
   std::vector<double> x = RandomVector(cla.cols(), 7);
+  std::vector<double> y(cla.rows());
   for (auto _ : state) {
-    std::vector<double> y = cla.MultiplyRight(x);
+    cla.MultiplyRightInto(x, y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ClaMvmRight)->Unit(benchmark::kMicrosecond);

@@ -408,20 +408,6 @@ void ClaMatrix::MultiplyLeftGroup(const Group& group,
   }
 }
 
-std::vector<double> ClaMatrix::MultiplyRight(const std::vector<double>& x,
-                                             ThreadPool* pool) const {
-  std::vector<double> y(rows_);
-  MultiplyRightInto(x, y, pool);
-  return y;
-}
-
-std::vector<double> ClaMatrix::MultiplyLeft(const std::vector<double>& y,
-                                            ThreadPool* pool) const {
-  std::vector<double> x(cols_);
-  MultiplyLeftInto(y, x, pool);
-  return x;
-}
-
 void ClaMatrix::MultiplyRightInto(std::span<const double> x,
                                   std::span<double> y,
                                   ThreadPool* pool) const {

@@ -76,11 +76,6 @@ class ClaMatrix {
 
   u64 CompressedBytes() const;
 
-  std::vector<double> MultiplyRight(const std::vector<double>& x,
-                                    ThreadPool* pool = nullptr) const;
-  std::vector<double> MultiplyLeft(const std::vector<double>& y,
-                                   ThreadPool* pool = nullptr) const;
-
   /// Allocation-free kernels; the caller-provided output is fully
   /// overwritten. The pooled right-multiplication still allocates one
   /// partial vector per group (groups scatter to overlapping rows).

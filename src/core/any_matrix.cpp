@@ -58,14 +58,15 @@ concept HasPoolInto = requires(const M& m, std::span<const double> in,
 
 /// Matches backends with native multi-vector kernels that amortize work
 /// across the batch (GcMatrix: one pass over R and C with k-wide
-/// accumulators, writing into the caller's block). The rest, the blocked
-/// grammar container included, fall back to the per-vector loop default,
-/// which preserves the bitwise-per-vector contract trivially.
+/// accumulators, writing into the caller's block, on the calling thread).
+/// The rest, the blocked grammar container included, fall back to the
+/// per-vector loop default, which preserves the bitwise-per-vector
+/// contract trivially and hands the pool to each single-vector call.
 template <typename M>
 concept HasNativeMulti = requires(const M& m, const DenseMatrix& x,
-                                  DenseMatrix* y, ThreadPool* pool) {
-  m.MultiplyRightMulti(x, y, pool);
-  m.MultiplyLeftMulti(x, y, pool);
+                                  DenseMatrix* y) {
+  m.MultiplyRightMulti(x, y);
+  m.MultiplyLeftMulti(x, y);
 };
 
 template <typename M>
@@ -139,7 +140,7 @@ class KernelAdapter final : public IMatrixKernel {
   void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
                           const MulContext& ctx) const override {
     if constexpr (HasNativeMulti<M>) {
-      matrix_->MultiplyRightMulti(x, y, ctx.pool);
+      matrix_->MultiplyRightMulti(x, y);
     } else {
       IMatrixKernel::MultiplyRightMulti(x, y, ctx);
     }
@@ -148,7 +149,7 @@ class KernelAdapter final : public IMatrixKernel {
   void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
                          const MulContext& ctx) const override {
     if constexpr (HasNativeMulti<M>) {
-      matrix_->MultiplyLeftMulti(x, y, ctx.pool);
+      matrix_->MultiplyLeftMulti(x, y);
     } else {
       IMatrixKernel::MultiplyLeftMulti(x, y, ctx);
     }

@@ -91,7 +91,8 @@ concept EngineBackend = EngineBackends::kContains<M>;
 /// Uniform execution context handed to every engine kernel. Backends that
 /// cannot exploit a field ignore it. A pool changes how fast a kernel runs,
 /// never its bits: backends split work at fixed grains (row blocks, shards,
-/// column groups, vector batches) and reduce in a fixed order.
+/// column groups) and reduce in a fixed order. A vector batch is not a
+/// grain of its own: it is split only at those same grains.
 struct MulContext {
   ThreadPool* pool = nullptr;  ///< worker pool; nullptr = sequential
 };

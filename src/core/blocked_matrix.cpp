@@ -88,20 +88,6 @@ u64 BlockedGcMatrix::CompressedBytes() const {
   return total;
 }
 
-std::vector<double> BlockedGcMatrix::MultiplyRight(
-    const std::vector<double>& x, ThreadPool* pool) const {
-  std::vector<double> y(rows_);
-  MultiplyRightInto(x, y, pool);
-  return y;
-}
-
-std::vector<double> BlockedGcMatrix::MultiplyLeft(const std::vector<double>& y,
-                                                  ThreadPool* pool) const {
-  std::vector<double> x(cols_);
-  MultiplyLeftInto(y, x, pool);
-  return x;
-}
-
 void BlockedGcMatrix::MultiplyRightInto(std::span<const double> x,
                                         std::span<double> y,
                                         ThreadPool* pool) const {

@@ -48,17 +48,11 @@ class BlockedGcMatrix {
   /// Compressed bytes: all block payloads plus the shared dictionary once.
   u64 CompressedBytes() const;
 
-  /// y = M x; runs blocks on `pool` when given (nullptr = sequential).
-  std::vector<double> MultiplyRight(const std::vector<double>& x,
-                                    ThreadPool* pool = nullptr) const;
-
-  /// x^t = y^t M; per-block partials summed after the parallel section.
-  std::vector<double> MultiplyLeft(const std::vector<double>& y,
-                                   ThreadPool* pool = nullptr) const;
-
-  /// Allocation-free kernels: each block writes its row range of `y`
-  /// directly (right) or accumulates per-block partials into `x` (left).
-  /// The caller-provided output is fully overwritten.
+  /// y = M x and x^t = y^t M, running the blocks on `pool` when given
+  /// (nullptr = sequential). Each block writes its row range of `y`
+  /// directly (right) or a per-block partial that is summed into `x` in
+  /// block order after the parallel section (left). The caller-provided
+  /// output is fully overwritten.
   void MultiplyRightInto(std::span<const double> x, std::span<double> y,
                          ThreadPool* pool = nullptr) const;
   void MultiplyLeftInto(std::span<const double> y, std::span<double> x,

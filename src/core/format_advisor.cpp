@@ -98,10 +98,11 @@ AdvisorReport AdviseFormat(const DenseMatrix& dense,
       sample_seconds = ModeledPairSeconds(compressed, format);
     } else {
       std::vector<double> x(dense.cols(), 1.0);
+      std::vector<double> y(compressed.rows());
+      std::vector<double> z(compressed.cols());
       Timer timer;
-      std::vector<double> y = compressed.MultiplyRight(x);
-      std::vector<double> z = compressed.MultiplyLeft(y);
-      (void)z;
+      compressed.MultiplyRightInto(x, y);
+      compressed.MultiplyLeftInto(y, z);
       sample_seconds = timer.Seconds();
     }
     // Parallel blocks divide the wall clock by at most the block count

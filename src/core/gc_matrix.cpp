@@ -7,7 +7,6 @@
 #include "util/enum_names.hpp"
 #include "util/fast_div.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gcm {
 
@@ -176,19 +175,6 @@ void GcMatrix::ForEachFinalSymbol(F&& fn) const {
   }
 }
 
-std::vector<double> GcMatrix::MultiplyRight(
-    const std::vector<double>& x) const {
-  std::vector<double> y(rows_);
-  MultiplyRightInto(x, y);
-  return y;
-}
-
-std::vector<double> GcMatrix::MultiplyLeft(const std::vector<double>& y) const {
-  std::vector<double> x(cols_);
-  MultiplyLeftInto(y, x);
-  return x;
-}
-
 namespace {
 
 /// Magic-multiply divisor for decoding packed terminals
@@ -301,48 +287,31 @@ void GcMatrix::MultiplyLeftInto(std::span<const double> y,
   }
 }
 
-namespace {
-
-/// Splits [0, k) into one batch per pool worker and runs fn(t0, t1) on the
-/// pool; sequential when pool is null or the batching is degenerate.
-void ForEachColumnBatch(
-    std::size_t k, ThreadPool* pool,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  std::size_t batches =
-      pool == nullptr ? 1 : std::min(k, std::max<std::size_t>(1, pool->size()));
-  if (batches <= 1) {
-    fn(0, k);
-    return;
-  }
-  std::size_t per_batch = (k + batches - 1) / batches;
-  pool->ParallelFor(batches, [&](std::size_t b) {
-    std::size_t t0 = b * per_batch;
-    std::size_t t1 = std::min(k, t0 + per_batch);
-    if (t0 < t1) fn(t0, t1);
-  });
-}
-
-}  // namespace
-
-void GcMatrix::MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
-                                       std::size_t t0, std::size_t t1) const {
+void GcMatrix::MultiplyRightMulti(const DenseMatrix& x,
+                                  DenseMatrix* y) const {
+  GCM_CHECK_MSG(x.rows() == cols_,
+                "MultiplyRightMulti: X has " << x.rows() << " rows, expected "
+                                             << cols_);
+  GCM_CHECK_MSG(y->rows() == rows_ && y->cols() == x.cols(),
+                "MultiplyRightMulti: Y is " << y->rows() << "x" << y->cols()
+                                            << ", expected " << rows_ << "x"
+                                            << x.cols());
   const std::size_t k = x.cols();
-  const std::size_t kb = t1 - t0;  // batch width
   const std::vector<double>& dict = *dict_;
   const u32 cols = static_cast<u32>(cols_);
   const U32Divisor by_cols = ColsDivisor(cols_);
 
-  // W is rule_count x kb, filled forward as in the single-vector kernel.
-  // The kb-wide accumulates vectorize safely: lanes are independent
+  // W is rule_count x k, filled forward as in the single-vector kernel.
+  // The k-wide accumulates vectorize safely: lanes are independent
   // columns of X, so simd::Add/Axpy change no per-lane summation order.
-  std::vector<double> w(rule_count_ * kb, 0.0);
-  std::vector<double> acc(kb, 0.0);
+  std::vector<double> w(rule_count_ * k, 0.0);
+  std::vector<double> acc(k, 0.0);
   auto add_symbol = [&](u32 symbol, double* out) {
     if (symbol >= alphabet_size_) {
       GCM_DCHECK_BOUNDS(symbol - alphabet_size_, rule_count_);
       const double* row = w.data() + static_cast<std::size_t>(
-                                         symbol - alphabet_size_) * kb;
-      simd::Add(out, row, kb);
+                                         symbol - alphabet_size_) * k;
+      simd::Add(out, row, k);
       return;
     }
     if (symbol == kCsrvSentinel) return;
@@ -352,19 +321,20 @@ void GcMatrix::MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
     double value = dict[value_id];
     const double* x_row =
         x.data().data() +
-        static_cast<std::size_t>(packed - value_id * cols) * k + t0;
-    simd::Axpy(out, value, x_row, kb);
+        static_cast<std::size_t>(packed - value_id * cols) * k;
+    simd::Axpy(out, value, x_row, k);
   };
   for (std::size_t i = 0; i < rule_count_; ++i) {
-    double* row = w.data() + i * kb;
+    double* row = w.data() + i * k;
     add_symbol(RuleLeft(i), row);
     add_symbol(RuleRight(i), row);
   }
+  // Every row closes with a sentinel, so every entry of Y is overwritten.
   std::size_t row = 0;
   ForEachFinalSymbol([&](u32 symbol) {
     if (symbol == kCsrvSentinel) {
-      for (std::size_t t = 0; t < kb; ++t) {
-        y->Set(row, t0 + t, acc[t]);
+      for (std::size_t t = 0; t < k; ++t) {
+        y->Set(row, t, acc[t]);
         acc[t] = 0.0;
       }
       ++row;
@@ -376,74 +346,7 @@ void GcMatrix::MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
                                   << " rows, expected " << rows_);
 }
 
-void GcMatrix::MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
-                                  ThreadPool* pool) const {
-  GCM_CHECK_MSG(x.rows() == cols_,
-                "MultiplyRightMulti: X has " << x.rows() << " rows, expected "
-                                             << cols_);
-  GCM_CHECK_MSG(y->rows() == rows_ && y->cols() == x.cols(),
-                "MultiplyRightMulti: Y is " << y->rows() << "x" << y->cols()
-                                            << ", expected " << rows_ << "x"
-                                            << x.cols());
-  // Batches write disjoint column ranges of y, so they can run in parallel.
-  // Every row closes with a sentinel, so each batch overwrites its columns.
-  ForEachColumnBatch(x.cols(), pool, [&](std::size_t t0, std::size_t t1) {
-    MultiplyRightMultiRange(x, y, t0, t1);
-  });
-}
-
-void GcMatrix::MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* y,
-                                      std::size_t t0, std::size_t t1) const {
-  const std::size_t kb = t1 - t0;  // batch width
-  const std::vector<double>& dict = *dict_;
-  const u32 cols = static_cast<u32>(cols_);
-  const U32Divisor by_cols = ColsDivisor(cols_);
-  std::vector<double> w(rule_count_ * kb, 0.0);
-
-  std::size_t row = 0;
-  auto scatter = [&](u32 symbol, const double* weights) {
-    if (symbol >= alphabet_size_) {
-      GCM_DCHECK_BOUNDS(symbol - alphabet_size_, rule_count_);
-      double* dest = w.data() + static_cast<std::size_t>(
-                                    symbol - alphabet_size_) * kb;
-      simd::Add(dest, weights, kb);
-    } else {
-      u32 packed = symbol - 1;
-      u32 value_id = by_cols.Divide(packed);
-      GCM_DCHECK_BOUNDS(value_id, dict.size());
-      double value = dict[value_id];
-      u32 column = packed - value_id * cols;
-      // Output columns are strided by cols, so this scatter stays scalar.
-      for (std::size_t t = 0; t < kb; ++t) {
-        y->Set(t0 + t, column, y->At(t0 + t, column) + value * weights[t]);
-      }
-    }
-  };
-  // The scatter accumulates, so this batch's rows of Y start at zero.
-  for (std::size_t t = t0; t < t1; ++t) {
-    for (std::size_t c = 0; c < cols_; ++c) y->Set(t, c, 0.0);
-  }
-  std::vector<double> row_weights(kb);
-  ForEachFinalSymbol([&](u32 symbol) {
-    if (symbol == kCsrvSentinel) {
-      ++row;
-      return;
-    }
-    for (std::size_t t = 0; t < kb; ++t) row_weights[t] = x.At(t0 + t, row);
-    scatter(symbol, row_weights.data());
-  });
-  GCM_CHECK_MSG(row == rows_, "compressed sequence closed " << row
-                                  << " rows, expected " << rows_);
-  for (std::size_t j = rule_count_; j-- > 0;) {
-    const double* weights = w.data() + j * kb;
-    if (!simd::AnyNonZero(weights, kb)) continue;
-    scatter(RuleLeft(j), weights);
-    scatter(RuleRight(j), weights);
-  }
-}
-
-void GcMatrix::MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
-                                 ThreadPool* pool) const {
+void GcMatrix::MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y) const {
   GCM_CHECK_MSG(x.cols() == rows_,
                 "MultiplyLeftMulti: X has " << x.cols()
                                             << " columns, expected " << rows_);
@@ -451,11 +354,52 @@ void GcMatrix::MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
                 "MultiplyLeftMulti: Y is " << y->rows() << "x" << y->cols()
                                            << ", expected " << x.rows() << "x"
                                            << cols_);
-  // Batches write disjoint rows of y (one per left-hand vector), so they
-  // can run in parallel.
-  ForEachColumnBatch(x.rows(), pool, [&](std::size_t t0, std::size_t t1) {
-    MultiplyLeftMultiRange(x, y, t0, t1);
+  const std::size_t k = x.rows();
+  const std::vector<double>& dict = *dict_;
+  const u32 cols = static_cast<u32>(cols_);
+  const U32Divisor by_cols = ColsDivisor(cols_);
+  std::vector<double> w(rule_count_ * k, 0.0);
+
+  std::size_t row = 0;
+  auto scatter = [&](u32 symbol, const double* weights) {
+    if (symbol >= alphabet_size_) {
+      GCM_DCHECK_BOUNDS(symbol - alphabet_size_, rule_count_);
+      double* dest = w.data() + static_cast<std::size_t>(
+                                    symbol - alphabet_size_) * k;
+      simd::Add(dest, weights, k);
+    } else {
+      u32 packed = symbol - 1;
+      u32 value_id = by_cols.Divide(packed);
+      GCM_DCHECK_BOUNDS(value_id, dict.size());
+      double value = dict[value_id];
+      u32 column = packed - value_id * cols;
+      // Output columns are strided by cols, so this scatter stays scalar.
+      for (std::size_t t = 0; t < k; ++t) {
+        y->Set(t, column, y->At(t, column) + value * weights[t]);
+      }
+    }
+  };
+  // The scatter accumulates, so Y starts at zero.
+  for (std::size_t t = 0; t < k; ++t) {
+    for (std::size_t c = 0; c < cols_; ++c) y->Set(t, c, 0.0);
+  }
+  std::vector<double> row_weights(k);
+  ForEachFinalSymbol([&](u32 symbol) {
+    if (symbol == kCsrvSentinel) {
+      ++row;
+      return;
+    }
+    for (std::size_t t = 0; t < k; ++t) row_weights[t] = x.At(t, row);
+    scatter(symbol, row_weights.data());
   });
+  GCM_CHECK_MSG(row == rows_, "compressed sequence closed " << row
+                                  << " rows, expected " << rows_);
+  for (std::size_t j = rule_count_; j-- > 0;) {
+    const double* weights = w.data() + j * k;
+    if (!simd::AnyNonZero(weights, k)) continue;
+    scatter(RuleLeft(j), weights);
+    scatter(RuleRight(j), weights);
+  }
 }
 
 void GcMatrix::ExpandRuleTerminals(u32 rule, std::vector<u32>* out) const {

@@ -37,8 +37,6 @@
 
 namespace gcm {
 
-class ThreadPool;
-
 enum class GcFormat { kCsrv, kRe32, kReIv, kReAns };
 
 const char* FormatName(GcFormat format);
@@ -55,9 +53,9 @@ struct GcBuildOptions {
   std::size_t max_rules = 0;
 };
 
-/// One grammar-compressed row block. rows()/cols() describe the block;
-/// MultiplyRight/MultiplyLeft operate on full-width vectors (cols entries)
-/// and block-height vectors (rows entries).
+/// One grammar-compressed row block. rows()/cols() describe the block; the
+/// multiply kernels operate on full-width vectors (cols entries) and
+/// block-height vectors (rows entries).
 class GcMatrix {
  public:
   using SharedDict = std::shared_ptr<const std::vector<double>>;
@@ -103,41 +101,32 @@ class GcMatrix {
     return PayloadBytes() + dict_->size() * sizeof(double);
   }
 
+  /// The kernels write into caller-provided outputs, which are fully
+  /// overwritten (x: cols() entries, y: rows() entries; input and output
+  /// must not alias). The O(|R|) W array is allocated per call -- it is
+  /// the auxiliary space of Theorems 3.4/3.10, not part of the result. All four run on the calling thread: the parallel grain is the
+  /// row block (BlockedGcMatrix), as in the paper's Section 4.1, for
+  /// single vectors and batches alike.
+  ///
   /// y = M x (Theorem 3.4): one forward pass over R filling the W array,
   /// then one scan of C.
-  std::vector<double> MultiplyRight(const std::vector<double>& x) const;
+  void MultiplyRightInto(std::span<const double> x,
+                         std::span<double> y) const;
 
   /// x^t = y^t M (Theorem 3.10): one scan of C seeding W, then one backward
   /// pass over R pushing row sums down to terminals.
-  std::vector<double> MultiplyLeft(const std::vector<double>& y) const;
-
-  /// Allocation-free kernels: the caller provides the output, which is
-  /// fully overwritten (x: cols() entries, y: rows() entries; input and
-  /// output must not alias). The O(|R|) W array is still allocated
-  /// internally -- it is the auxiliary space of Theorems 3.4/3.10, not
-  /// part of the result. Both run on the calling thread: the parallel
-  /// grain is the row block (BlockedGcMatrix), as in the paper's Section 4.1.
-  void MultiplyRightInto(std::span<const double> x,
-                         std::span<double> y) const;
   void MultiplyLeftInto(std::span<const double> y, std::span<double> x) const;
 
   /// Y = M X for a dense right-hand side X (cols x k) into the caller's
-  /// Y (rows x k, fully overwritten): the multi-vector generalization of
-  /// Theorem 3.4. One pass over R and one over C with k-wide
-  /// accumulators; cost O(k(|C| + |R|)), auxiliary space O(k|R|).
-  /// When `pool` is given, the k columns are split into one batch per
-  /// worker and processed in parallel (each batch re-runs the R pass and
-  /// the C scan on its own slice, so aux space stays O(k|R|) overall).
-  /// Throws gcm::Error when X or Y has the wrong shape.
-  void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
-                          ThreadPool* pool = nullptr) const;
+  /// Y (rows x k): the multi-vector generalization of Theorem 3.4. One
+  /// pass over R and one over C with k-wide accumulators; cost
+  /// O(k(|C| + |R|)), auxiliary space O(k|R|). Throws gcm::Error when X or
+  /// Y has the wrong shape.
+  void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y) const;
 
   /// Y = X M for a dense left-hand side X (k x rows) into the caller's Y
-  /// (k x cols, fully overwritten): multi-vector generalization of
-  /// Theorem 3.10. Same column-batch parallelism as MultiplyRightMulti
-  /// when `pool` is given.
-  void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
-                         ThreadPool* pool = nullptr) const;
+  /// (k x cols): the multi-vector generalization of Theorem 3.10.
+  void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y) const;
 
   /// Reconstructs the CSRV sequence S (for verification / decompression).
   std::vector<u32> DecompressSequence() const;
@@ -194,13 +183,6 @@ class GcMatrix {
   /// Iterates the final sequence C in order, invoking fn(symbol).
   template <typename F>
   void ForEachFinalSymbol(F&& fn) const;
-
-  /// Multi-vector kernels restricted to the column batch [t0, t1) of X;
-  /// the unit of work of the pool-parallel Multi drivers.
-  void MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
-                               std::size_t t0, std::size_t t1) const;
-  void MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* y,
-                              std::size_t t0, std::size_t t1) const;
 
   u32 RuleLeft(std::size_t i) const;
   u32 RuleRight(std::size_t i) const;

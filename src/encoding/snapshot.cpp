@@ -199,8 +199,7 @@ SnapshotReader SnapshotReader::FromFile(const std::string& path) {
   if (std::shared_ptr<MappedFile> map = MappedFile::TryMap(path)) {
     SnapshotReader reader;
     reader.bytes_ = map->bytes();
-    reader.backing_ = map;
-    reader.mapped_file_ = std::move(map);
+    reader.backing_ = std::move(map);
     reader.Parse();
     return reader;
   }

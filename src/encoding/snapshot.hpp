@@ -69,8 +69,6 @@
 
 namespace gcm {
 
-class MappedFile;
-
 constexpr u32 kSnapshotMagic = 0x4e534347;  // "GCSN"
 constexpr u32 kSnapshotVersion = 2;
 constexpr u32 kMinSnapshotVersion = 1;
@@ -175,13 +173,6 @@ class SnapshotReader {
   /// Container format version of the parsed file (1 or 2).
   u32 version() const { return version_; }
 
-  /// True when the bytes come from a live memory mapping (FromFile with a
-  /// working mmap) rather than a heap buffer.
-  bool mapped() const { return mapped_file_ != nullptr; }
-  const std::shared_ptr<MappedFile>& mapped_file() const {
-    return mapped_file_;
-  }
-
   /// Keepalive for the viewed bytes. Anyone letting borrowed views outlive
   /// this reader must retain it (AnyMatrix attaches it to loaded handles).
   const std::shared_ptr<const void>& backing() const { return backing_; }
@@ -196,7 +187,6 @@ class SnapshotReader {
   /// only; v1 sections are always copied). Call before OpenSection and
   /// honor the backing() lifetime contract above.
   void EnableZeroCopy() { zero_copy_ = version_ >= 2; }
-  bool zero_copy() const { return zero_copy_; }
 
   std::size_t section_count() const { return sections_.size(); }
   std::vector<std::string> SectionNames() const;
@@ -228,7 +218,6 @@ class SnapshotReader {
 
   std::span<const u8> bytes_;
   std::shared_ptr<const void> backing_;     ///< owns/retains bytes_
-  std::shared_ptr<MappedFile> mapped_file_;  ///< set by mapped FromFile
   std::string spec_;
   u32 version_ = kSnapshotVersion;
   bool zero_copy_ = false;

@@ -65,20 +65,6 @@ CsrMatrix CsrMatrix::FromParts(std::size_t rows, std::size_t cols,
   return csr;
 }
 
-std::vector<double> CsrMatrix::MultiplyRight(
-    const std::vector<double>& x) const {
-  std::vector<double> y(rows_);
-  MultiplyRightInto(x, y);
-  return y;
-}
-
-std::vector<double> CsrMatrix::MultiplyLeft(
-    const std::vector<double>& y) const {
-  std::vector<double> x(cols_);
-  MultiplyLeftInto(y, x);
-  return x;
-}
-
 void CsrMatrix::MultiplyRightInto(std::span<const double> x,
                                   std::span<double> y) const {
   GCM_CHECK(x.size() == cols_);
@@ -150,20 +136,6 @@ CsrIvMatrix CsrIvMatrix::FromDense(const DenseMatrix& dense) {
   csr.idx_ = std::move(idx);
   csr.first_ = std::move(first);
   return csr;
-}
-
-std::vector<double> CsrIvMatrix::MultiplyRight(
-    const std::vector<double>& x) const {
-  std::vector<double> y(rows_);
-  MultiplyRightInto(x, y);
-  return y;
-}
-
-std::vector<double> CsrIvMatrix::MultiplyLeft(
-    const std::vector<double>& y) const {
-  std::vector<double> x(cols_);
-  MultiplyLeftInto(y, x);
-  return x;
 }
 
 void CsrIvMatrix::MultiplyRightInto(std::span<const double> x,

@@ -33,9 +33,6 @@ class CsrMatrix {
   std::size_t cols() const { return cols_; }
   std::size_t nonzeros() const { return nz_.size(); }
 
-  std::vector<double> MultiplyRight(const std::vector<double>& x) const;
-  std::vector<double> MultiplyLeft(const std::vector<double>& y) const;
-
   /// Allocation-free kernels; the caller-provided output is fully
   /// overwritten (see DenseMatrix for the contract).
   void MultiplyRightInto(std::span<const double> x,
@@ -84,9 +81,6 @@ class CsrIvMatrix {
   std::size_t cols() const { return cols_; }
   std::size_t nonzeros() const { return value_ids_.size(); }
   std::size_t distinct_values() const { return dictionary_.size(); }
-
-  std::vector<double> MultiplyRight(const std::vector<double>& x) const;
-  std::vector<double> MultiplyLeft(const std::vector<double>& y) const;
 
   /// Allocation-free kernels; the caller-provided output is fully
   /// overwritten (see DenseMatrix for the contract).

@@ -92,20 +92,6 @@ void CsrvMatrix::Validate() const {
                                                 << " rows");
 }
 
-std::vector<double> CsrvMatrix::MultiplyRight(
-    const std::vector<double>& x) const {
-  std::vector<double> y(rows_);
-  MultiplyRightInto(x, y);
-  return y;
-}
-
-std::vector<double> CsrvMatrix::MultiplyLeft(
-    const std::vector<double>& y) const {
-  std::vector<double> x(cols_);
-  MultiplyLeftInto(y, x);
-  return x;
-}
-
 void CsrvMatrix::MultiplyRightInto(std::span<const double> x,
                                    std::span<double> y) const {
   GCM_CHECK_MSG(x.size() == cols_, "MultiplyRight: wrong vector length");

@@ -91,14 +91,9 @@ class CsrvMatrix {
            dictionary_.size() * sizeof(double);
   }
 
-  /// y = M x by a single scan of S (Section 2).
-  std::vector<double> MultiplyRight(const std::vector<double>& x) const;
-
-  /// x^t = y^t M by a single scan of S (Section 2).
-  std::vector<double> MultiplyLeft(const std::vector<double>& y) const;
-
-  /// Allocation-free kernels; the caller-provided output is fully
-  /// overwritten (see DenseMatrix for the contract).
+  /// y = M x and x^t = y^t M, each by a single scan of S (Section 2).
+  /// Allocation-free: the caller-provided output is fully overwritten
+  /// (see DenseMatrix for the contract).
   void MultiplyRightInto(std::span<const double> x,
                          std::span<double> y) const;
   void MultiplyLeftInto(std::span<const double> y, std::span<double> x) const;

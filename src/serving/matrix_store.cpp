@@ -47,7 +47,7 @@ std::vector<ShardManifestEntry> UniformLayout(std::size_t rows,
   return layout;
 }
 
-/// Shared producer pipeline: `build_shard(layout[i])` returns the shard
+/// Shared producer pipeline: `build_shard(i, layout[i])` returns shard i
 /// for that row range. Shards are built and written concurrently on the
 /// BuildContext pool, each task holding only its own shard, into per-shard
 /// manifest slots, so every file is byte-identical to the sequential
@@ -59,7 +59,8 @@ ShardManifest WriteStore(
     std::size_t rows, std::size_t cols,
     const std::vector<ShardManifestEntry>& layout, const std::string& dir,
     const BuildContext& ctx,
-    const std::function<AnyMatrix(const ShardManifestEntry&)>& build_shard) {
+    const std::function<AnyMatrix(std::size_t, const ShardManifestEntry&)>&
+        build_shard) {
   std::error_code ec;
   bool created_dir = fs::create_directories(dir, ec);
   GCM_CHECK_MSG(!ec, "cannot create store directory " << dir << ": "
@@ -75,7 +76,7 @@ ShardManifest WriteStore(
   ShardManifest manifest{rows, cols, layout};
   try {
     MaybeParallelFor(ctx.pool, layout.size(), [&](std::size_t i) {
-      AnyMatrix shard = build_shard(layout[i]);
+      AnyMatrix shard = build_shard(i, layout[i]);
       std::vector<u8> bytes = shard.SaveSnapshotBytes();
       ShardManifestEntry& entry = manifest.shards[i];
       entry.file = ShardFileName(generation, i);
@@ -130,7 +131,7 @@ ShardManifest MatrixStore::Partition(const DenseMatrix& dense,
       policy.ResolveRowsPerShard(dense.rows(), dense.cols());
   return WriteStore(
       dense.rows(), dense.cols(), UniformLayout(dense.rows(), per_shard), dir,
-      ctx, [&](const ShardManifestEntry& shard) {
+      ctx, [&](std::size_t, const ShardManifestEntry& shard) {
         return AnyMatrix::Build(
             dense.RowSlice(shard.row_begin, shard.row_end), inner, ctx);
       });
@@ -147,11 +148,10 @@ ShardManifest MatrixStore::Partition(std::size_t rows, std::size_t cols,
   std::vector<std::vector<Triplet>> buckets =
       BucketTripletsByShard(rows, per_shard, std::move(entries));
   return WriteStore(rows, cols, UniformLayout(rows, per_shard), dir, ctx,
-                    [&](const ShardManifestEntry& shard) {
-                      return AnyMatrix::Build(
-                          shard.rows(), cols,
-                          std::move(buckets[shard.row_begin / per_shard]),
-                          inner, ctx);
+                    [&](std::size_t i, const ShardManifestEntry& shard) {
+                      return AnyMatrix::Build(shard.rows(), cols,
+                                              std::move(buckets[i]), inner,
+                                              ctx);
                     });
 }
 
@@ -181,11 +181,18 @@ ShardManifest MatrixStore::Resave(const std::string& dir_or_manifest) {
   // Each "build" is just a load of the existing shard file: the snapshot
   // payload is adopted as-is and re-emitted in the current container
   // version over the same row ranges, and the manifest rename commits the
-  // migration.
+  // migration. Loads go through the serving loader, so a shard file the
+  // manifest does not vouch for (length, whole-file CRC, shape, spec)
+  // fails here as it would when served, instead of being re-stamped.
+  std::shared_ptr<ShardedMatrix> served =
+      ShardedMatrix::FromManifest(old, dir, ShardLoadMode::kLazy);
   return WriteStore(old.rows, old.cols, old.shards, dir, {},
-                    [&](const ShardManifestEntry& shard) {
-                      return AnyMatrix::Load(
-                          (fs::path(dir) / shard.file).string());
+                    [&](std::size_t i, const ShardManifestEntry&) {
+                      AnyMatrix shard = served->LoadShard(i);
+                      // The handle alone keeps the shard alive until it
+                      // is written, so Resave holds one shard per task.
+                      served->EvictShard(i);
+                      return shard;
                     });
 }
 

@@ -77,9 +77,12 @@ class MatrixStore {
   /// version (`mm_repair_cli --resave`): each shard snapshot is loaded
   /// (any supported version) and re-emitted as a new generation, committed
   /// by the manifest rename exactly like Partition, so a failure
-  /// mid-migration leaves the original store intact. No construction
-  /// pipeline runs (grammars / rANS payloads are adopted as-is). Returns
-  /// the refreshed manifest.
+  /// mid-migration leaves the original store intact. Shards load through
+  /// the same manifest gate as Open (file length and CRC, then shape and
+  /// spec), so a swapped, truncated or corrupt shard file throws naming
+  /// the file rather than being re-stamped with fresh checksums. No
+  /// construction pipeline runs (grammars / rANS payloads are adopted
+  /// as-is). Returns the refreshed manifest.
   static ShardManifest Resave(const std::string& dir_or_manifest);
 
   /// The manifest path for a store directory (the argument unchanged if

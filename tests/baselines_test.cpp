@@ -6,6 +6,7 @@
 
 #include "baselines/cla/cla_matrix.hpp"
 #include "baselines/external/external_compressors.hpp"
+#include "core/any_matrix.hpp"
 #include "matrix/datasets.hpp"
 #include "util/rng.hpp"
 
@@ -108,11 +109,12 @@ TEST(ClaTest, MultiplicationsMatchDense) {
   Rng rng(73);
   DenseMatrix m = DenseMatrix::Random(150, 20, 0.35, 8, &rng);
   ClaMatrix cla = ClaMatrix::Compress(m);
+  AnyMatrix engine = AnyMatrix::Ref(cla);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<double> x = RandomVector(20, &rng);
     std::vector<double> y = RandomVector(150, &rng);
-    EXPECT_LT(MaxAbsDiff(cla.MultiplyRight(x), m.MultiplyRight(x)), 1e-9);
-    EXPECT_LT(MaxAbsDiff(cla.MultiplyLeft(y), m.MultiplyLeft(y)), 1e-9);
+    EXPECT_LT(MaxAbsDiff(engine.MultiplyRight(x), m.MultiplyRight(x)), 1e-9);
+    EXPECT_LT(MaxAbsDiff(engine.MultiplyLeft(y), m.MultiplyLeft(y)), 1e-9);
   }
 }
 
@@ -120,12 +122,14 @@ TEST(ClaTest, ParallelMatchesSequential) {
   Rng rng(79);
   DenseMatrix m = GenerateDatasetRows(DatasetByName("Covtype"), 300);
   ClaMatrix cla = ClaMatrix::Compress(m);
+  AnyMatrix engine = AnyMatrix::Ref(cla);
   ThreadPool pool(4);
   std::vector<double> x = RandomVector(m.cols(), &rng);
   std::vector<double> y = RandomVector(m.rows(), &rng);
-  EXPECT_LT(MaxAbsDiff(cla.MultiplyRight(x, &pool), cla.MultiplyRight(x)),
-            1e-12);
-  EXPECT_LT(MaxAbsDiff(cla.MultiplyLeft(y, &pool), cla.MultiplyLeft(y)),
+  EXPECT_LT(
+      MaxAbsDiff(engine.MultiplyRight(x, {&pool}), engine.MultiplyRight(x)),
+      1e-12);
+  EXPECT_LT(MaxAbsDiff(engine.MultiplyLeft(y, {&pool}), engine.MultiplyLeft(y)),
             1e-12);
 }
 
@@ -218,16 +222,19 @@ TEST(ClaTest, CompressesBelowDenseOnStructuredData) {
 TEST(ClaTest, WrongVectorLengthThrows) {
   DenseMatrix m(5, 3);
   ClaMatrix cla = ClaMatrix::Compress(m);
-  EXPECT_THROW(cla.MultiplyRight(std::vector<double>(2)), Error);
-  EXPECT_THROW(cla.MultiplyLeft(std::vector<double>(4)), Error);
+  std::vector<double> y(5);
+  std::vector<double> x(3);
+  EXPECT_THROW(cla.MultiplyRightInto(std::vector<double>(2), y), Error);
+  EXPECT_THROW(cla.MultiplyLeftInto(std::vector<double>(4), x), Error);
 }
 
 TEST(ClaTest, AllZeroMatrix) {
   DenseMatrix m(50, 4);
   ClaMatrix cla = ClaMatrix::Compress(m);
   EXPECT_EQ(cla.ToDense(), m);
-  EXPECT_EQ(cla.MultiplyRight({1, 2, 3, 4}),
-            std::vector<double>(50, 0.0));
+  std::vector<double> y(50, -1.0);
+  cla.MultiplyRightInto(std::vector<double>{1, 2, 3, 4}, y);
+  EXPECT_EQ(y, std::vector<double>(50, 0.0));
 }
 
 TEST(ClaTest, PlanSummaryMentionsEveryGroup) {
@@ -248,7 +255,9 @@ TEST_P(ClaDatasetTest, LosslessAndConsistentOnDatasets) {
   EXPECT_EQ(cla.ToDense(), m);
   Rng rng(103);
   std::vector<double> x = RandomVector(m.cols(), &rng);
-  EXPECT_LT(MaxAbsDiff(cla.MultiplyRight(x), m.MultiplyRight(x)), 1e-8);
+  EXPECT_LT(
+      MaxAbsDiff(AnyMatrix::Ref(cla).MultiplyRight(x), m.MultiplyRight(x)),
+      1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDatasets, ClaDatasetTest,

@@ -58,11 +58,12 @@ TEST_P(GcMatrixFormatTest, MultiplicationsMatchDense) {
   GcBuildOptions options;
   options.format = GetParam();
   GcMatrix gc = GcMatrix::FromDense(m, options);
+  AnyMatrix engine = AnyMatrix::Ref(gc);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<double> x = RandomVector(23, &rng);
     std::vector<double> y = RandomVector(60, &rng);
-    EXPECT_LT(MaxAbsDiff(gc.MultiplyRight(x), m.MultiplyRight(x)), 1e-9);
-    EXPECT_LT(MaxAbsDiff(gc.MultiplyLeft(y), m.MultiplyLeft(y)), 1e-9);
+    EXPECT_LT(MaxAbsDiff(engine.MultiplyRight(x), m.MultiplyRight(x)), 1e-9);
+    EXPECT_LT(MaxAbsDiff(engine.MultiplyLeft(y), m.MultiplyLeft(y)), 1e-9);
   }
 }
 
@@ -73,13 +74,17 @@ TEST_P(GcMatrixFormatTest, EmptyAndDegenerateMatrices) {
   DenseMatrix zeros(4, 3);
   GcMatrix gc = GcMatrix::FromDense(zeros, options);
   EXPECT_EQ(gc.ToDense(), zeros);
-  std::vector<double> y = gc.MultiplyRight({1.0, 2.0, 3.0});
+  std::vector<double> y(4, -1.0);
+  gc.MultiplyRightInto(std::vector<double>{1.0, 2.0, 3.0}, y);
   EXPECT_EQ(y, (std::vector<double>(4, 0.0)));
   // Single-cell matrix.
   DenseMatrix one(1, 1, {5.0});
   GcMatrix gc1 = GcMatrix::FromDense(one, options);
-  EXPECT_DOUBLE_EQ(gc1.MultiplyRight({2.0})[0], 10.0);
-  EXPECT_DOUBLE_EQ(gc1.MultiplyLeft({3.0})[0], 15.0);
+  std::vector<double> out(1);
+  gc1.MultiplyRightInto(std::vector<double>{2.0}, out);
+  EXPECT_DOUBLE_EQ(out[0], 10.0);
+  gc1.MultiplyLeftInto(std::vector<double>{3.0}, out);
+  EXPECT_DOUBLE_EQ(out[0], 15.0);
 }
 
 TEST_P(GcMatrixFormatTest, SerializationRoundTrip) {
@@ -101,8 +106,13 @@ TEST_P(GcMatrixFormatTest, WrongVectorLengthThrows) {
   GcBuildOptions options;
   options.format = GetParam();
   GcMatrix gc = GcMatrix::FromDense(PaperFigure1Matrix(), options);
-  EXPECT_THROW(gc.MultiplyRight(std::vector<double>(4)), Error);
-  EXPECT_THROW(gc.MultiplyLeft(std::vector<double>(5)), Error);
+  std::vector<double> y(6);
+  std::vector<double> x(5);
+  EXPECT_THROW(gc.MultiplyRightInto(std::vector<double>(4), y), Error);
+  EXPECT_THROW(gc.MultiplyLeftInto(std::vector<double>(5), x), Error);
+  // The output's length is checked too.
+  EXPECT_THROW(gc.MultiplyRightInto(x, std::span<double>(y).first(5)), Error);
+  EXPECT_THROW(gc.MultiplyLeftInto(y, std::span<double>(x).first(4)), Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, GcMatrixFormatTest,
@@ -194,8 +204,9 @@ TEST_P(BlockedTest, MatchesDenseAcrossBlockCounts) {
   EXPECT_EQ(blocked.rows(), 97u);
   std::vector<double> x = RandomVector(13, &rng);
   std::vector<double> y = RandomVector(97, &rng);
-  EXPECT_LT(MaxAbsDiff(blocked.MultiplyRight(x), m.MultiplyRight(x)), 1e-9);
-  EXPECT_LT(MaxAbsDiff(blocked.MultiplyLeft(y), m.MultiplyLeft(y)), 1e-9);
+  AnyMatrix engine = AnyMatrix::Ref(blocked);
+  EXPECT_LT(MaxAbsDiff(engine.MultiplyRight(x), m.MultiplyRight(x)), 1e-9);
+  EXPECT_LT(MaxAbsDiff(engine.MultiplyLeft(y), m.MultiplyLeft(y)), 1e-9);
   EXPECT_EQ(blocked.ToDense(), m);
 }
 
@@ -209,9 +220,9 @@ TEST_P(BlockedTest, ParallelMatchesSequential) {
   ThreadPool pool(4);
   std::vector<double> x = RandomVector(10, &rng);
   std::vector<double> y = RandomVector(120, &rng);
-  EXPECT_EQ(blocked.MultiplyRight(x, &pool), blocked.MultiplyRight(x));
-  EXPECT_LT(MaxAbsDiff(blocked.MultiplyLeft(y, &pool),
-                       blocked.MultiplyLeft(y)),
+  AnyMatrix engine = AnyMatrix::Ref(blocked);
+  EXPECT_EQ(engine.MultiplyRight(x, {&pool}), engine.MultiplyRight(x));
+  EXPECT_LT(MaxAbsDiff(engine.MultiplyLeft(y, {&pool}), engine.MultiplyLeft(y)),
             1e-12);
 }
 
@@ -246,7 +257,9 @@ TEST(BlockedTest, PerBlockTraversalOrdersPreserveSemantics) {
       BlockedGcMatrix::Build(m, 4, {GcFormat::kRe32, 12, 0}, orders);
   EXPECT_EQ(blocked.ToDense(), m);
   std::vector<double> x = RandomVector(6, &rng);
-  EXPECT_LT(MaxAbsDiff(blocked.MultiplyRight(x), m.MultiplyRight(x)), 1e-9);
+  EXPECT_LT(MaxAbsDiff(AnyMatrix::Ref(blocked).MultiplyRight(x),
+                       m.MultiplyRight(x)),
+            1e-9);
 }
 
 TEST(BlockedTest, WrongOrderCountThrows) {
@@ -344,7 +357,8 @@ TEST_P(DatasetIntegrationTest, AllFormatsLosslessAndConsistent) {
   for (GcFormat format : kAllFormats) {
     BlockedGcMatrix blocked =
         BlockedGcMatrix::Build(m, 4, {format, 12, 0});
-    EXPECT_LT(MaxAbsDiff(blocked.MultiplyRight(x), expected), 1e-6)
+    EXPECT_LT(MaxAbsDiff(AnyMatrix::Ref(blocked).MultiplyRight(x), expected),
+              1e-6)
         << profile.name << "/" << FormatName(format);
   }
 }

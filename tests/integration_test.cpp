@@ -85,14 +85,15 @@ TEST_P(AlgebraTest, RightMultiplicationIsLinear) {
   Rng rng(301);
   DenseMatrix m = DenseMatrix::Random(45, 14, 0.5, 7, &rng);
   GcMatrix gc = GcMatrix::FromDense(m, {GetParam(), 12, 0});
+  AnyMatrix engine = AnyMatrix::Ref(gc);
   std::vector<double> a = RandomVector(14, &rng);
   std::vector<double> b = RandomVector(14, &rng);
   const double alpha = 2.5, beta = -1.25;
   std::vector<double> combo(14);
   for (std::size_t i = 0; i < 14; ++i) combo[i] = alpha * a[i] + beta * b[i];
-  std::vector<double> lhs = gc.MultiplyRight(combo);
-  std::vector<double> ya = gc.MultiplyRight(a);
-  std::vector<double> yb = gc.MultiplyRight(b);
+  std::vector<double> lhs = engine.MultiplyRight(combo);
+  std::vector<double> ya = engine.MultiplyRight(a);
+  std::vector<double> yb = engine.MultiplyRight(b);
   for (std::size_t i = 0; i < lhs.size(); ++i) {
     EXPECT_NEAR(lhs[i], alpha * ya[i] + beta * yb[i], 1e-9);
   }
@@ -103,11 +104,12 @@ TEST_P(AlgebraTest, InnerProductDuality) {
   Rng rng(307);
   DenseMatrix m = DenseMatrix::Random(50, 11, 0.45, 6, &rng);
   GcMatrix gc = GcMatrix::FromDense(m, {GetParam(), 12, 0});
+  AnyMatrix engine = AnyMatrix::Ref(gc);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<double> x = RandomVector(11, &rng);
     std::vector<double> y = RandomVector(50, &rng);
-    std::vector<double> mx = gc.MultiplyRight(x);
-    std::vector<double> ytm = gc.MultiplyLeft(y);
+    std::vector<double> mx = engine.MultiplyRight(x);
+    std::vector<double> ytm = engine.MultiplyLeft(y);
     double lhs = 0.0, rhs = 0.0;
     for (std::size_t i = 0; i < y.size(); ++i) lhs += y[i] * mx[i];
     for (std::size_t j = 0; j < x.size(); ++j) rhs += ytm[j] * x[j];
@@ -124,13 +126,15 @@ TEST_P(AlgebraTest, ColumnPermutationInvariance) {
   CsrvMatrix shuffled = CsrvMatrix::FromDense(m, &order);
   GcMatrix gc_plain = GcMatrix::FromCsrv(plain, {GetParam(), 12, 0});
   GcMatrix gc_shuffled = GcMatrix::FromCsrv(shuffled, {GetParam(), 12, 0});
+  AnyMatrix engine_plain = AnyMatrix::Ref(gc_plain);
+  AnyMatrix engine_shuffled = AnyMatrix::Ref(gc_shuffled);
   std::vector<double> x = RandomVector(9, &rng);
   std::vector<double> y = RandomVector(40, &rng);
-  EXPECT_LT(MaxAbsDiff(gc_plain.MultiplyRight(x),
-                       gc_shuffled.MultiplyRight(x)),
+  EXPECT_LT(MaxAbsDiff(engine_plain.MultiplyRight(x),
+                       engine_shuffled.MultiplyRight(x)),
             1e-10);
-  EXPECT_LT(MaxAbsDiff(gc_plain.MultiplyLeft(y),
-                       gc_shuffled.MultiplyLeft(y)),
+  EXPECT_LT(MaxAbsDiff(engine_plain.MultiplyLeft(y),
+                       engine_shuffled.MultiplyLeft(y)),
             1e-10);
 }
 
@@ -142,7 +146,7 @@ TEST_P(AlgebraTest, BlockCountInvariance) {
   for (std::size_t blocks : {1u, 2u, 5u, 13u, 60u}) {
     BlockedGcMatrix blocked =
         BlockedGcMatrix::Build(m, blocks, {GetParam(), 12, 0});
-    std::vector<double> y = blocked.MultiplyRight(x);
+    std::vector<double> y = AnyMatrix::Ref(blocked).MultiplyRight(x);
     if (reference.empty()) {
       reference = y;
     } else {
@@ -156,10 +160,14 @@ TEST_P(AlgebraTest, AgreesWithClaOnSameInput) {
   DenseMatrix m = DenseMatrix::Random(120, 16, 0.4, 6, &rng);
   GcMatrix gc = GcMatrix::FromDense(m, {GetParam(), 12, 0});
   ClaMatrix cla = ClaMatrix::Compress(m);
+  AnyMatrix engine_gc = AnyMatrix::Ref(gc);
+  AnyMatrix engine_cla = AnyMatrix::Ref(cla);
   std::vector<double> x = RandomVector(16, &rng);
   std::vector<double> y = RandomVector(120, &rng);
-  EXPECT_LT(MaxAbsDiff(gc.MultiplyRight(x), cla.MultiplyRight(x)), 1e-9);
-  EXPECT_LT(MaxAbsDiff(gc.MultiplyLeft(y), cla.MultiplyLeft(y)), 1e-9);
+  EXPECT_LT(MaxAbsDiff(engine_gc.MultiplyRight(x), engine_cla.MultiplyRight(x)),
+            1e-9);
+  EXPECT_LT(MaxAbsDiff(engine_gc.MultiplyLeft(y), engine_cla.MultiplyLeft(y)),
+            1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, AlgebraTest,

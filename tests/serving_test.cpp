@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -368,6 +369,95 @@ TEST(MatrixStoreTest, MissingShardFileIsNamed) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// Sorted names of the files in `dir`.
+std::vector<std::string> FileNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// The error an eager open of the store at `dir` throws ("" if none).
+std::string ServeError(const std::string& dir) {
+  try {
+    MatrixStore::Open(dir, ShardLoadMode::kEager);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Resave must refuse exactly what serving refuses: it throws the error an
+/// eager open gives, which names shard file `name`, and leaves the
+/// manifest and the directory as they were. Returns the error message.
+std::string ExpectResaveRefuses(const std::string& dir,
+                                const std::string& name) {
+  const std::string served = ServeError(dir);
+  EXPECT_NE(served.find(name), std::string::npos) << served;
+  const std::string manifest_path = MatrixStore::ManifestPath(dir);
+  const std::vector<u8> manifest_before = ReadFileBytes(manifest_path);
+  const std::vector<std::string> files_before = FileNames(dir);
+  std::string message;
+  try {
+    MatrixStore::Resave(dir);
+    ADD_FAILURE() << "Resave re-stamped " << name;
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message, served);
+  EXPECT_EQ(ReadFileBytes(manifest_path), manifest_before);
+  EXPECT_EQ(FileNames(dir), files_before);
+  EXPECT_EQ(ServeError(dir), served);
+  return message;
+}
+
+TEST(MatrixStoreTest, ResaveRefusesSwappedShardFiles) {
+  // Two shards with one sparsity pattern and different values: their csr
+  // files have the same length, so only the manifest CRC tells them apart.
+  Rng rng(2405);
+  DenseMatrix half = DenseMatrix::Random(20, 6, 0.5, 5, &rng);
+  DenseMatrix dense(40, 6);
+  for (std::size_t r = 0; r < half.rows(); ++r) {
+    for (std::size_t c = 0; c < half.cols(); ++c) {
+      dense.Set(r, c, half.At(r, c));
+      dense.Set(r + half.rows(), c, 2.0 * half.At(r, c));
+    }
+  }
+  std::string dir = TestTempPath("swapped");
+  ShardManifest manifest =
+      MatrixStore::Partition(dense, "csr", {.shards = 2}, dir);
+  const fs::path first = fs::path(dir) / manifest.shards[0].file;
+  const fs::path second = fs::path(dir) / manifest.shards[1].file;
+  const std::vector<u8> first_bytes = ReadFileBytes(first.string());
+  const std::vector<u8> second_bytes = ReadFileBytes(second.string());
+  ASSERT_EQ(first_bytes.size(), second_bytes.size());
+  ASSERT_NE(first_bytes, second_bytes);
+  WriteFileBytes(first.string(), second_bytes);
+  WriteFileBytes(second.string(), first_bytes);
+
+  std::string message = ExpectResaveRefuses(dir, manifest.shards[0].file);
+  EXPECT_NE(message.find("checksum"), std::string::npos) << message;
+}
+
+TEST(MatrixStoreTest, ResaveRefusesATruncatedShardFile) {
+  DenseMatrix dense = TestMatrix();
+  std::string dir = TestTempPath("truncated");
+  ShardManifest manifest =
+      MatrixStore::Partition(dense, "csrv", {.shards = 3}, dir);
+  const std::string& name = manifest.shards[1].file;
+  const std::string victim = (fs::path(dir) / name).string();
+  std::vector<u8> bytes = ReadFileBytes(victim);
+  bytes.resize(bytes.size() - 8);
+  WriteFileBytes(victim, bytes);
+
+  // Shard 0 is written before shard 1 fails; the failure removes it.
+  std::string message = ExpectResaveRefuses(dir, name);
+  EXPECT_NE(message.find("the manifest records"), std::string::npos)
+      << message;
 }
 
 TEST(MatrixStoreTest, TripletPartitionMatchesDensePartition) {

@@ -78,7 +78,9 @@ TEST(SparseBuilderTest, CsrFromTripletsMultiplies) {
   CsrMatrix csr = CsrFromTriplets(m.rows(), m.cols(), TripletsFromDense(m));
   std::vector<double> x(9);
   for (auto& v : x) v = rng.NextDouble();
-  EXPECT_LT(MaxAbsDiff(csr.MultiplyRight(x), m.MultiplyRight(x)), 1e-12);
+  std::vector<double> y(m.rows());
+  csr.MultiplyRightInto(x, y);
+  EXPECT_LT(MaxAbsDiff(y, m.MultiplyRight(x)), 1e-12);
   EXPECT_EQ(csr.ToDense(), m);
 }
 
@@ -184,7 +186,8 @@ TEST_P(MultiRhsTest, SingleColumnMultiEqualsVectorKernel) {
   DenseMatrix x_mat(8, 1, std::vector<double>(x));
   DenseMatrix y_multi(30, 1);
   gc.MultiplyRightMulti(x_mat, &y_multi);
-  std::vector<double> y = gc.MultiplyRight(x);
+  std::vector<double> y(30);
+  gc.MultiplyRightInto(x, y);
   for (std::size_t r = 0; r < 30; ++r) {
     EXPECT_NEAR(y_multi.At(r, 0), y[r], 1e-12);
   }

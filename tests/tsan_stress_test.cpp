@@ -282,7 +282,7 @@ TEST(TsanStressTest, NestedPooledBuildsShareOneClaimCounterSafely) {
   BlockedGcMatrix reference =
       BlockedGcMatrix::Build(dense, 4, {GcFormat::kRe32, 12, 0}, {}, {});
   std::vector<double> x = RandomVector(dense.cols(), 13);
-  const std::vector<double> want = reference.MultiplyRight(x);
+  const std::vector<double> want = AnyMatrix::Ref(reference).MultiplyRight(x);
 
   constexpr std::size_t kBuilds = 6;
   std::vector<u64> bytes(kBuilds, 0);
@@ -291,7 +291,7 @@ TEST(TsanStressTest, NestedPooledBuildsShareOneClaimCounterSafely) {
     BlockedGcMatrix built =
         BlockedGcMatrix::Build(dense, 4, {GcFormat::kRe32, 12, 0}, {}, ctx);
     bytes[i] = built.CompressedBytes();
-    if (built.MultiplyRight(x) != want) mismatches.fetch_add(1);
+    if (AnyMatrix::Ref(built).MultiplyRight(x) != want) mismatches.fetch_add(1);
   });
   EXPECT_EQ(mismatches.load(), 0);
   // Pooled construction is deterministic: every racing build must produce
